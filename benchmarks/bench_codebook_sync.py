@@ -119,7 +119,7 @@ def measure(n_identities: int, waves: int = WAVES) -> Dict[str, object]:
     baseline_times: List[float] = []
     chip_ids = server.active_ids
 
-    # Warm-up wave (kernel backend load, allocator, feature caches) --
+    # Warm-up wave (kernel backend load, allocator) --
     # excluded from the timing so p99 reflects steady-state maintenance.
     server.retighten(chip_ids[-1], 0.999, 1.001)
     server.codebook(N_CHALLENGES)

@@ -8,9 +8,8 @@ bit-packed matrix.  This benchmark pins that claim:
 * sweeps N enrolled identities (base chips alias-replicated, so
   scaling N costs registrations, not enrollments) -- N={100} at the
   smoke tier, up to N={10, 100, 1000, 10000} at the paper tier;
-* times the dense plane (per-call selection, fresh seeds so the
-  parity-feature cache cannot hide the work) against the codebook
-  plane (synced once, then pure matching);
+* times the dense plane (per-call selection on fresh seeds) against
+  the codebook plane (synced once, then pure matching);
 * times the codebook plane on *transcripts*: its challenge blocks are
   static, so a device's answers can be captured ahead of the serving
   call and the server's job is resolving them -- whereas the dense
@@ -155,7 +154,7 @@ def measure(n_identities: int, dense_reps: int, book_reps: int) -> Dict[str, flo
     t_read = time.perf_counter() - read_start
     replay = _ReplayResponder(book.stacked_challenges, transcript)
 
-    # Warm both planes once (allocator, feature caches, device noise).
+    # Warm both planes once (allocator, kernel backend, device noise).
     server.identify(replay, n_challenges=N_CHALLENGES, use_codebook=True)
     server.identify(
         probe, n_challenges=N_CHALLENGES, use_codebook=False, seed=999_999
@@ -167,9 +166,7 @@ def measure(n_identities: int, dense_reps: int, book_reps: int) -> Dict[str, flo
     t_book = (time.perf_counter() - start) / book_reps
 
     # Dense reps use a fresh seed each call: the plane invents fresh
-    # blocks per request (so it *must* block on a live device read),
-    # and repeated seeds would let the shared parity-feature cache skip
-    # the very selector work the dense plane is being billed for.
+    # blocks per request, so it *must* block on a live device read.
     start = time.perf_counter()
     for rep in range(dense_reps):
         server.identify(

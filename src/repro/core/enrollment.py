@@ -89,16 +89,9 @@ class EnrollmentRecord:
         """Beta-adjusted thresholds actually used for selection."""
         return [self.betas.apply(pair) for pair in self.base_pairs]
 
-    def selector(self, feature_cache=None) -> ChallengeSelector:
-        """Challenge selector over the adjusted thresholds.
-
-        *feature_cache* optionally shares one
-        :class:`~repro.crp.transform.ParityFeatureCache` across the
-        selectors of a whole database (the server passes its own).
-        """
-        return ChallengeSelector(
-            self.xor_model, self.adjusted_pairs, feature_cache=feature_cache
-        )
+    def selector(self) -> ChallengeSelector:
+        """Challenge selector over the adjusted thresholds."""
+        return ChallengeSelector(self.xor_model, self.adjusted_pairs)
 
     def fingerprint(self) -> str:
         """Stable content hash of everything that shapes selection.

@@ -183,12 +183,10 @@ class XorPufModel:
         """``(n_pufs, n)`` soft predictions from one shared ``phi`` matrix.
 
         The parity transform is by far the most expensive part of a
-        prediction sweep; computing it once for all constituents (and,
-        via :class:`~repro.crp.transform.ParityFeatureCache`, across
-        repeated sweeps over the same batch) is what makes the selection
-        hot loop cheap.  Each model still consumes ``phi`` through the
-        same per-model matrix-vector product, so values are
-        bit-identical to the per-model path.
+        prediction sweep; computing it once for all constituents is
+        what makes the selection hot loop cheap.  Each model still
+        consumes ``phi`` through the same per-model matrix-vector
+        product, so values are bit-identical to the per-model path.
         """
         return np.stack(
             [m.predict_soft_from_features(features) for m in self.models]

@@ -10,12 +10,18 @@ of the per-PUF stable bits.
 The rejection loop's acceptance rate is the paper's "predicted stable
 fraction", which decays like 0.545**n at nominal thresholds (Fig. 12);
 the selector exposes it for the benchmarks.
+
+The loop classifies the challenge stream in growing chunks and stops
+at the chunk that completes the request.  Every chunk is a multiple of
+4 rows, so the chunked draws are byte-for-byte the prefix of one large
+draw (see :meth:`~repro.crp.challenges.ChallengeStream.take`) and the
+selection does not depend on the chunk sizes.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,11 +33,16 @@ from repro.core.thresholds import (
     classify_predictions,
 )
 from repro.crp.challenges import ChallengeStream
-from repro.crp.transform import ParityFeatureCache, parity_features
+from repro.crp.transform import parity_features
 from repro.utils.rng import SeedLike
 from repro.utils.validation import as_challenge_array, check_positive_int
 
 __all__ = ["ChallengeSelector", "SelectionExhaustedError"]
+
+#: Rows in the rejection loop's first chunk; each later chunk doubles,
+#: up to :data:`MAX_CHUNK`.  Both must stay multiples of 4.
+FIRST_CHUNK = 1024
+MAX_CHUNK = 4096
 
 
 class SelectionExhaustedError(RuntimeError):
@@ -49,18 +60,10 @@ class ChallengeSelector:
     threshold_pairs:
         One (already beta-adjusted) :class:`ThresholdPair` per
         constituent PUF, aligned with ``xor_model.models``.
-    feature_cache:
-        Optional shared :class:`~repro.crp.transform.ParityFeatureCache`;
-        when set, parity feature matrices are reused across
-        classification calls that see the same challenge batch (e.g.
-        repeated deterministic identification streams).
     """
 
     xor_model: XorPufModel
     threshold_pairs: Sequence[ThresholdPair]
-    feature_cache: Optional[ParityFeatureCache] = dataclasses.field(
-        default=None, compare=False
-    )
 
     def __post_init__(self) -> None:
         pairs = list(self.threshold_pairs)
@@ -83,14 +86,6 @@ class ChallengeSelector:
     # ------------------------------------------------------------------
     # Classification
     # ------------------------------------------------------------------
-    def _features(
-        self, challenges: np.ndarray, *, validate: bool = True
-    ) -> np.ndarray:
-        """Parity features for *challenges*, via the shared cache if set."""
-        if self.feature_cache is not None:
-            return self.feature_cache.features(challenges, validate=validate)
-        return parity_features(challenges, validate=validate)
-
     def categories(self, challenges: np.ndarray) -> np.ndarray:
         """``(n_pufs, n_challenges)`` per-PUF ResponseCategory codes."""
         challenges = as_challenge_array(challenges, self.n_stages)
@@ -106,7 +101,7 @@ class ChallengeSelector:
         pure overhead in the selection hot loop.
         """
         predicted = self.xor_model.predict_individual_soft_from_features(
-            self._features(challenges, validate=False)
+            parity_features(challenges, validate=False)
         )
         return np.stack(
             [
@@ -142,7 +137,6 @@ class ChallengeSelector:
         n_challenges: int,
         seed: SeedLike = None,
         *,
-        batch_size: int = 4096,
         max_draws: int = 50_000_000,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Draw random challenges until *n_challenges* stable ones are found.
@@ -153,8 +147,6 @@ class ChallengeSelector:
             Stable challenges to collect.
         seed:
             Seed of the random challenge stream.
-        batch_size:
-            Challenges generated per rejection-loop iteration.
         max_draws:
             Budget of random draws before raising
             :class:`SelectionExhaustedError` (guards against widths
@@ -168,18 +160,19 @@ class ChallengeSelector:
             predicted XOR bit for each.
         """
         n_challenges = check_positive_int(n_challenges, "n_challenges")
-        batch_size = check_positive_int(batch_size, "batch_size")
         stream = ChallengeStream(self.n_stages, seed)
         selected: List[np.ndarray] = []
         responses: List[np.ndarray] = []
         collected = 0
+        chunk = FIRST_CHUNK
         while collected < n_challenges:
             if stream.drawn >= max_draws:
                 raise SelectionExhaustedError(
                     f"collected only {collected}/{n_challenges} stable "
                     f"challenges after {stream.drawn} draws"
                 )
-            batch = stream.take(batch_size)
+            batch = stream.take(chunk)
+            chunk = min(2 * chunk, MAX_CHUNK)
             # One classification pass per batch: the stability mask and
             # the predicted bits are both read off the same category
             # array (the bits are valid exactly where the mask holds).

@@ -53,7 +53,7 @@ from repro.core.lifecycle import (
     revocations_to_payload,
 )
 from repro.core.selection import ChallengeSelector
-from repro.crp.transform import ParityFeatureCache, parity_features
+from repro.crp.transform import parity_features
 from repro.silicon.chip import PufChip
 from repro.silicon.environment import NOMINAL_CONDITION, OperatingCondition
 from repro.utils.rng import SeedLike, derive_generator
@@ -104,7 +104,6 @@ class AuthenticationServer:
     ) -> None:
         self._records: Dict[str, EnrollmentRecord] = dict(records or {})
         self._selectors: Dict[str, ChallengeSelector] = {}
-        self._feature_cache = ParityFeatureCache()
         self._codebooks: Dict[int, IdentificationCodebook] = {}
         self._sorted_ids: Optional[List[str]] = None
         self._epoch = 0
@@ -295,30 +294,10 @@ class AuthenticationServer:
     # ------------------------------------------------------------------
     # Cached artefacts
     # ------------------------------------------------------------------
-    @property
-    def feature_cache_stats(self) -> dict:
-        """Counter snapshot of the shared parity-feature cache.
-
-        All of the server's selectors share one
-        :class:`~repro.crp.transform.ParityFeatureCache`; its
-        hits/misses/evictions (see
-        :meth:`~repro.crp.transform.ParityFeatureCache.stats`) say how
-        much transform work the serving layer is actually skipping --
-        the number the audit/summary outputs surface.
-        """
-        return self._feature_cache.stats()
-
     def selector(self, chip_id: str) -> ChallengeSelector:
-        """Cached challenge selector for one identity.
-
-        All of a server's selectors share one parity-feature cache, so
-        re-derived deterministic challenge batches (identification
-        streams, repeated sessions) skip the transform entirely.
-        """
+        """Cached challenge selector for one identity."""
         if chip_id not in self._selectors:
-            self._selectors[chip_id] = self.record(chip_id).selector(
-                feature_cache=self._feature_cache
-            )
+            self._selectors[chip_id] = self.record(chip_id).selector()
         return self._selectors[chip_id]
 
     def codebook(

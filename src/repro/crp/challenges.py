@@ -158,7 +158,15 @@ class ChallengeStream:
         return self._drawn
 
     def take(self, n: int) -> np.ndarray:
-        """Draw the next *n* challenges."""
+        """Draw the next *n* challenges.
+
+        Successive calls concatenate to exactly the rows of one larger
+        call when each call's ``n * n_stages`` is a multiple of 4, which
+        holds for any width when *n* is a multiple of 4.  numpy fills
+        the int8 bits from 32-bit words and drops the unused bytes of
+        the last word when a call ends, so other splits shift the
+        stream.
+        """
         n = check_positive_int(n, "n")
         batch = self._rng.integers(0, 2, size=(n, self.n_stages), dtype=np.int8)
         self._drawn += n

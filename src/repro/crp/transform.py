@@ -18,8 +18,6 @@ substrate rather than with either consumer.
 
 from __future__ import annotations
 
-import hashlib
-from collections import OrderedDict
 from typing import Optional
 
 import numpy as np
@@ -32,7 +30,6 @@ __all__ = [
     "from_signed",
     "parity_features",
     "n_features",
-    "ParityFeatureCache",
 ]
 
 
@@ -108,78 +105,3 @@ def parity_features(
     get_backend().parity_fill(np.ascontiguousarray(challenges), out)
     return out
 
-
-class ParityFeatureCache:
-    """Bounded content-addressed cache of parity feature matrices.
-
-    Several consumers evaluate models over the *same* challenge batches:
-    every constituent model of one chip scores the identical batch, and
-    the server's identification path re-derives deterministic challenge
-    streams across calls.  Keying on the challenge bytes lets all of
-    them share one ``phi`` computation without any coordination.
-
-    Entries are evicted least-recently-used once *max_entries* is
-    exceeded, so the cache is safe to attach to a long-lived server.
-    Cached matrices are returned with the writeable flag cleared;
-    callers must treat them as read-only.
-
-    The ``hits`` / ``misses`` / ``evictions`` counters (and the
-    :meth:`stats` snapshot built from them) make the cache's behaviour
-    observable from the serving layer -- e.g. whether a kernel-backend
-    change shifted traffic on or off the transform.
-    """
-
-    def __init__(self, max_entries: int = 64) -> None:
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[bytes, np.ndarray]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @staticmethod
-    def _key(challenges: np.ndarray) -> bytes:
-        digest = hashlib.blake2b(digest_size=16)
-        digest.update(str(challenges.shape).encode("ascii"))
-        digest.update(np.ascontiguousarray(challenges))
-        return digest.digest()
-
-    def features(
-        self, challenges: np.ndarray, *, validate: bool = True
-    ) -> np.ndarray:
-        """``parity_features(challenges)``, memoized on the batch content."""
-        challenges = as_challenge_array(challenges, validate=validate)
-        key = self._key(challenges)
-        cached = self._entries.get(key)
-        if cached is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return cached
-        self.misses += 1
-        phi = parity_features(challenges, validate=False)
-        phi.setflags(write=False)
-        self._entries[key] = phi
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        return phi
-
-    def stats(self) -> dict:
-        """Counter snapshot: hits, misses, evictions, size, hit rate."""
-        lookups = self.hits + self.misses
-        return {
-            "entries": len(self._entries),
-            "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": (self.hits / lookups) if lookups else 0.0,
-        }
-
-    def clear(self) -> None:
-        """Drop every cached matrix (counters are kept)."""
-        self._entries.clear()

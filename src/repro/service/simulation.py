@@ -173,10 +173,6 @@ class SimReport:
         exactly once per chip (the protocol invariant).
     budget:
         Per-chip ``{spent, remaining}`` challenge-pool accounting.
-    feature_cache:
-        Hit/miss/eviction snapshot of the server's shared parity-feature
-        cache (:attr:`~repro.core.server.AuthenticationServer.feature_cache_stats`)
-        -- how much transform work the run actually skipped.
     budget_warnings:
         Low-water warnings the service raised.
     latency_mean / latency_p95 / latency_max:
@@ -208,7 +204,6 @@ class SimReport:
     latency_max: float
     wall_seconds: float
     params: Dict[str, object]
-    feature_cache: Dict[str, float] = dataclasses.field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready dictionary form."""
@@ -553,7 +548,6 @@ def run_serve_sim(
             "clients": clients,
             "frontend": frontend_stats,
         },
-        feature_cache=service.server.feature_cache_stats,
     )
     if audit_path is not None:
         service.audit.save(audit_path)
@@ -561,13 +555,6 @@ def run_serve_sim(
     if report_path is not None:
         report.save(report_path)
         say(f"reliability report -> {report_path}")
-    cache = report.feature_cache
-    say(
-        f"feature cache: {cache.get('hits', 0)} hits / "
-        f"{cache.get('misses', 0)} misses / "
-        f"{cache.get('evictions', 0)} evictions "
-        f"(hit rate {cache.get('hit_rate', 0.0):.1%})"
-    )
     say(
         f"done: nominal FRR {report.nominal_frr:.1%}, corner availability "
         f"{report.corner_availability:.1%}, breaker "

@@ -7,8 +7,8 @@ import pytest
 
 from repro.core.model import LinearPufModel, XorPufModel
 from repro.core.selection import ChallengeSelector, SelectionExhaustedError
-from repro.core.thresholds import ResponseCategory, ThresholdPair
-from repro.crp.challenges import random_challenges
+from repro.core.thresholds import ResponseCategory, ThresholdPair, category_to_bit
+from repro.crp.challenges import ChallengeStream, random_challenges
 
 N_STAGES = 32
 
@@ -81,7 +81,7 @@ class TestSelect:
 
     def test_budget_guard(self, selector):
         with pytest.raises(SelectionExhaustedError, match="collected only"):
-            selector.select(10_000, seed=6, batch_size=64, max_draws=128)
+            selector.select(10_000, seed=6, max_draws=128)
 
     def test_selected_responses_are_truly_stable(
         self, enrolled_chip_and_record, selector
@@ -92,3 +92,55 @@ class TestSelect:
         for trial in range(3):
             responses = chip.xor_response(challenges)
             np.testing.assert_array_equal(responses, predicted)
+
+
+def _reference_select(selector, n_challenges, seed):
+    """The full-batch rejection loop: classify whole 4096-row batches
+    and truncate the stable rows to *n_challenges* at the end."""
+    stream = ChallengeStream(selector.n_stages, seed)
+    kept, bits = [], []
+    while sum(len(rows) for rows in kept) < n_challenges:
+        batch = stream.take(4096)
+        categories = selector.categories(batch)
+        mask = (categories != ResponseCategory.UNSTABLE).all(axis=0)
+        kept.append(batch[mask])
+        bits.append(
+            np.bitwise_xor.reduce(category_to_bit(categories[:, mask]), axis=0)
+        )
+    return np.concatenate(kept)[:n_challenges], np.concatenate(bits)[:n_challenges]
+
+
+def _synthetic_selector(n_stages, tightened):
+    """Two-PUF selector on random linear models centred on 0.5.
+
+    The nominal pair accepts about half of the challenges and the
+    tightened one about 5 %, so ``n = 513`` runs past the doubling
+    chunks into the capped ones.
+    """
+    rng = np.random.default_rng(n_stages)
+    models = []
+    for _ in range(2):
+        weights = rng.normal(scale=0.5 / np.sqrt(n_stages), size=n_stages + 1)
+        weights[-1] = 0.5
+        models.append(LinearPufModel(weights))
+    pair = ThresholdPair(0.3, 0.7)
+    if tightened:
+        pair = pair.scale(0.25, 2.2)
+    return ChallengeSelector(XorPufModel(models), [pair, pair])
+
+
+class TestChunkedSelectionOracle:
+    """``select`` stops at the chunk that completes the request, yet
+    returns exactly what the full-batch loop returns.  Odd widths make a
+    chunk whose row count is not a multiple of 4 shift the stream."""
+
+    @pytest.mark.parametrize("tightened", [False, True], ids=["nominal", "tight"])
+    @pytest.mark.parametrize("n_stages", [32, 33, 63, 64])
+    def test_matches_full_batch_loop(self, n_stages, tightened):
+        selector = _synthetic_selector(n_stages, tightened)
+        for n_challenges in (1, 7, 64, 513):
+            for seed in range(20):
+                got = selector.select(n_challenges, seed=seed)
+                want = _reference_select(selector, n_challenges, seed)
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])

@@ -115,6 +115,14 @@ class TestChallengeStream:
         two = np.concatenate([stream.take(4), stream.take(6)])
         np.testing.assert_array_equal(one, two)
 
+    def test_chunked_take_is_prefix_of_one_draw_at_odd_width(self):
+        # The selector's chunk rule: row counts that are multiples of 4
+        # keep the draws contiguous even when n * k bytes would not be.
+        one = ChallengeStream(33, seed=11).take(3072)
+        stream = ChallengeStream(33, seed=11)
+        two = np.concatenate([stream.take(1024), stream.take(2048)])
+        np.testing.assert_array_equal(one, two)
+
     def test_iteration_yields_single_challenges(self):
         stream = ChallengeStream(8, seed=10)
         first = next(iter(stream))

@@ -1,28 +1,16 @@
-"""The ``validate=False`` internal fast paths and cache observability.
+"""The ``validate=False`` internal fast paths.
 
-Two guarantees ride together: internal hot loops may skip the redundant
-0/1 content scan, but every *public* boundary still rejects malformed
-input exactly as before; and the parity-feature cache that those paths
-feed exposes hit/miss/eviction counters all the way up to the serving
-layer's report.
+Internal hot loops may skip the redundant 0/1 content scan, but every
+*public* boundary still rejects malformed input exactly as before.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from repro.core.server import AuthenticationServer
 from repro.crp.challenges import random_challenges
-from repro.crp.transform import (
-    ParityFeatureCache,
-    from_signed,
-    parity_features,
-    to_signed,
-)
-from repro.service.simulation import SimReport
+from repro.crp.transform import from_signed, parity_features, to_signed
 from repro.utils.validation import as_challenge_array
 
 
@@ -83,89 +71,3 @@ class TestBoundaryRejection:
         with pytest.raises(ValueError, match="stages"):
             selector.categories(np.zeros((4, selector.n_stages + 1), dtype=np.int8))
 
-
-class TestParityFeatureCacheCounters:
-    def test_miss_then_hit(self):
-        cache = ParityFeatureCache()
-        batch = random_challenges(16, 8, seed=0)
-        first = cache.features(batch)
-        second = cache.features(batch)
-        assert first is second
-        assert (cache.hits, cache.misses, cache.evictions) == (1, 1, 0)
-
-    def test_eviction_counter_with_single_slot(self):
-        cache = ParityFeatureCache(max_entries=1)
-        a = random_challenges(16, 8, seed=1)
-        b = random_challenges(16, 8, seed=2)
-        cache.features(a)
-        cache.features(b)  # evicts a
-        cache.features(a)  # miss again, evicts b
-        stats = cache.stats()
-        assert stats["entries"] == 1
-        assert stats["misses"] == 3
-        assert stats["evictions"] == 2
-        assert stats["hits"] == 0
-
-    def test_stats_snapshot_shape(self):
-        cache = ParityFeatureCache(max_entries=4)
-        batch = random_challenges(8, 8, seed=6)
-        cache.features(batch)
-        cache.features(batch)
-        stats = cache.stats()
-        assert set(stats) == {
-            "entries",
-            "max_entries",
-            "hits",
-            "misses",
-            "evictions",
-            "hit_rate",
-        }
-        assert stats["hit_rate"] == pytest.approx(0.5)
-
-    def test_hit_rate_zero_before_any_lookup(self):
-        assert ParityFeatureCache().stats()["hit_rate"] == 0.0
-
-    def test_clear_drops_entries_but_keeps_counters(self):
-        cache = ParityFeatureCache()
-        batch = random_challenges(8, 8, seed=7)
-        cache.features(batch)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.misses == 1
-        # Next lookup recomputes.
-        cache.features(batch)
-        assert cache.misses == 2
-
-    def test_cached_matrix_is_read_only(self):
-        cache = ParityFeatureCache()
-        phi = cache.features(random_challenges(8, 8, seed=8))
-        with pytest.raises(ValueError, match="read-only"):
-            phi[0, 0] = 0.0
-
-    def test_cache_validates_at_boundary_by_default(self):
-        with pytest.raises(ValueError, match="0/1"):
-            ParityFeatureCache().features(np.array([[1, 3]]))
-
-
-class TestServerCacheObservability:
-    def test_stats_start_at_zero(self):
-        stats = AuthenticationServer().feature_cache_stats
-        assert stats["hits"] == 0 and stats["misses"] == 0
-
-    def test_selectors_share_the_audited_cache(self, enrolled_chip_and_record):
-        _, record = enrolled_chip_and_record
-        server = AuthenticationServer({record.chip_id: record})
-        selector = server.selector(record.chip_id)
-        batch = random_challenges(128, selector.n_stages, seed=9)
-        selector.categories(batch)
-        selector.categories(batch)
-        stats = server.feature_cache_stats
-        assert stats["misses"] >= 1
-        assert stats["hits"] >= 1
-        assert 0.0 < stats["hit_rate"] <= 1.0
-
-
-def test_sim_report_carries_feature_cache_stats():
-    fields = {f.name: f for f in dataclasses.fields(SimReport)}
-    assert "feature_cache" in fields
-    assert fields["feature_cache"].default_factory is dict

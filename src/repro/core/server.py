@@ -40,7 +40,6 @@ from repro.core.authentication import (
 from repro.core.codebook import (
     CodebookPolicy,
     IdentificationCodebook,
-    _packed_distances,
     pack_responses,
 )
 from repro.core.enrollment import EnrollmentRecord, enroll_chip
@@ -764,70 +763,6 @@ class AuthenticationServer:
                 book.ids, row, min_match_fraction, return_scores, active=active
             )
             for row in scores
-        ]
-
-    def authenticate_many(
-        self,
-        responders: Sequence[Responder],
-        claimed_ids: Optional[Sequence[str]] = None,
-        *,
-        n_challenges: int = 64,
-        tolerance: int = ZERO_HAMMING_DISTANCE,
-        condition: OperatingCondition = NOMINAL_CONDITION,
-        seed: Optional[int] = None,
-    ) -> List[AuthResult]:
-        """Batched 1:1 verification over the codebook plane.
-
-        Each responder is read with its claimed identity's materialized
-        codebook block; all transcripts are then scored together with
-        one packed XOR + popcount pass.  This is the high-throughput
-        data plane for fleet-scale re-verification sweeps: codebook
-        blocks are **reused across sessions** (they are identification
-        blocks, not one-shot session challenges), so for the paper's
-        strict one-time-transcript protocol use
-        :meth:`authenticate` / the service layer instead.
-        """
-        if claimed_ids is None:
-            claimed_ids = [
-                getattr(responder, "chip_id", None) for responder in responders
-            ]
-            if any(chip_id is None for chip_id in claimed_ids):
-                raise ValueError(
-                    "a responder has no chip_id attribute; "
-                    "pass claimed_ids explicitly"
-                )
-        if len(claimed_ids) != len(responders):
-            raise ValueError(
-                f"{len(responders)} responders but {len(claimed_ids)} claimed ids"
-            )
-        if not responders:
-            return []
-        book = self.codebook(n_challenges, seed=seed)
-        rows = []
-        for chip_id in claimed_ids:
-            self._refuse_revoked(chip_id, "batched authentication")
-            self.record(chip_id)  # raises UnknownChipError for strangers
-            rows.append(book.row(chip_id))
-        responses = np.stack(
-            [
-                np.asarray(r.xor_response(row.challenges, condition))
-                for r, row in zip(responders, rows)
-            ]
-        )
-        packed = pack_responses(responses)
-        predicted = np.ascontiguousarray(np.stack([row.packed for row in rows]))
-        # Row-aligned packed scoring through the kernel backend (the
-        # numpy path is the former popcount-sum expression, bit for bit).
-        mismatches = _packed_distances(packed, predicted, use_lut=False)
-        return [
-            AuthResult(
-                approved=bool(count <= tolerance),
-                n_challenges=n_challenges,
-                n_mismatches=int(count),
-                tolerance=tolerance,
-                condition=condition,
-            )
-            for count in mismatches
         ]
 
 

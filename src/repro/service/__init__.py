@@ -13,9 +13,10 @@ compromising the zero-HD protocol's no-replay invariant.
 * :mod:`repro.service.frontend` -- :class:`BatchingFrontend`, the
   micro-batching request coalescer: concurrent client threads and
   asyncio coroutines submit into a bounded queue, a batching loop
-  drains it into single packed ``authenticate_many`` /
-  ``identify_many`` passes (and, with a fleet attached, single
-  shard round-trips), bit-identical to sequential serving;
+  drains it, serving authentications slot by slot and
+  identifications in one packed ``identify_many`` pass (with a fleet
+  attached, one shard round-trip), bit-identical to sequential
+  serving;
 * :mod:`repro.service.drift` -- rolling-FRR drift monitor and the
   graceful-degradation ladder;
 * :mod:`repro.service.resilience` -- circuit breaker and rate limiter

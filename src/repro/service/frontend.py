@@ -1,25 +1,23 @@
-"""The micro-batching front end: coalesce concurrent traffic into packed passes.
+"""The micro-batching front end: coalesce concurrent traffic into batched calls.
 
-:class:`AuthenticationService` serves one request per call; its batched
-entry points (:meth:`~AuthenticationService.authenticate_many` /
-:meth:`~AuthenticationService.identify_many`) amortize scoring across a
-batch -- but only if somebody *builds* the batch.  This module is that
-somebody: :class:`BatchingFrontend` accepts concurrent submissions from
-many client threads (and asyncio coroutines), parks them in a bounded
-queue, and a single batching loop drains the queue into packed passes.
-Under load, batches form naturally: while one pass executes, the next
-requests pile up behind it.
+:class:`AuthenticationService` serves one request per call.  Its
+:meth:`~AuthenticationService.identify_many` amortizes one packed
+codebook pass across a batch -- but only if somebody *builds* the
+batch.  This module is that somebody: :class:`BatchingFrontend` accepts
+concurrent submissions from many client threads (and asyncio
+coroutines), parks them in a bounded queue, and a single batching loop
+drains the queue.  Under load, batches form naturally: while one drain
+executes, the next requests pile up behind it.
 
 Correctness contract -- batching is **invisible** in the results:
 
 * every decision is bit-identical to the same requests served as
-  sequential per-request calls in submission order.  The one hazard is
-  two authentications of the *same* chip sharing a pass: admission of
-  the later request would read breaker/limiter/drift state *before*
-  scoring of the earlier one updates it.  The drain loop therefore
-  splits each drained batch into runs and never lets a chip appear
-  twice in one authentication run (cross-chip state is independent, so
-  distinct chips coalesce freely);
+  sequential per-request calls in submission order.  A drained batch is
+  cut into runs of one kind; an authentication run is served slot by
+  slot through :meth:`AuthenticationService.authenticate_batch` (each
+  Fig.-7 session owns its challenges, budget and device read, so there
+  is nothing to share), and only an identification run shares a packed
+  pass;
 * audit events, request numbers and challenge accounting come out
   exactly as the sequential order would produce them;
 * a failed request poisons nobody: authentication exceptions (e.g. the
@@ -69,6 +67,7 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import dataclasses
+import itertools
 import threading
 import time
 from collections import deque
@@ -144,18 +143,8 @@ class _QueuedRequest:
     return_scores: bool = False
     enqueued_at: float = 0.0  # service clock, for deadline accounting
 
-    @property
-    def chip_key(self) -> object:
-        """Hazard key: requests sharing it never share an auth run."""
-        claimed = self.claimed_id
-        if claimed is None:
-            claimed = getattr(self.responder, "chip_id", None)
-        # An unresolvable identity fails admission without touching any
-        # per-chip state, so it can share a run with anything.
-        return claimed if claimed is not None else self
-
     def run_key(self) -> Tuple:
-        """Requests with equal keys may share one packed pass."""
+        """Requests with equal keys may share one run."""
         if self.kind == "auth":
             return ("auth",)
         return ("identify", self.min_match_fraction, self.return_scores)
@@ -431,32 +420,15 @@ class BatchingFrontend:
     def _split_runs(
         self, batch: Sequence[_QueuedRequest]
     ) -> List[List[_QueuedRequest]]:
-        """Cut one drained batch into bit-identity-safe packed runs.
+        """Cut one drained batch into runs of equal :meth:`run_key`.
 
-        Runs preserve submission order.  A new run starts when the
-        request kind (or identification options) changes, or when an
-        authentication would put a chip into a run that already holds
-        it -- per-chip breaker/limiter/drift/budget state must observe
-        the earlier request's decision before the later one is
-        admitted, exactly as sequential serving would.
+        Runs preserve submission order; a new run starts whenever the
+        request kind (or identification options) changes.
         """
-        runs: List[List[_QueuedRequest]] = []
-        current: List[_QueuedRequest] = []
-        current_key: Optional[Tuple] = None
-        current_chips: set = set()
-        for item in batch:
-            key = item.run_key()
-            hazard = item.kind == "auth" and item.chip_key in current_chips
-            if current and (key != current_key or hazard):
-                runs.append(current)
-                current, current_chips = [], set()
-            current_key = key
-            current.append(item)
-            if item.kind == "auth":
-                current_chips.add(item.chip_key)
-        if current:
-            runs.append(current)
-        return runs
+        return [
+            list(run)
+            for _, run in itertools.groupby(batch, key=_QueuedRequest.run_key)
+        ]
 
     def _effective_deadline(self, item: _QueuedRequest) -> Optional[float]:
         """Charge queue time against an explicit per-request deadline.

@@ -110,9 +110,9 @@ class LifecycleConfig:
         pump all authentication and identification traffic through a
         :class:`~repro.service.frontend.BatchingFrontend` with up to
         this many requests in flight at once -- the coalescing loop
-        packs them into shared scoring passes (and, combined with
-        *sharded*, into shared shard round-trips) while the acceptance
-        gates hold unchanged.
+        packs identifications into shared scoring passes (and, combined
+        with *sharded*, into shared shard round-trips) while the
+        acceptance gates hold unchanged.
     sharded / n_shards:
         With *sharded* on, identification traffic is served by an
         inline-mode :class:`~repro.service.fleet.ShardDispatcher` over

@@ -41,7 +41,6 @@ import numpy as np
 
 from repro.baselines.majority_vote import majority_vote_responses
 from repro.core.authentication import AuthResult, DeviceReadError, Responder
-from repro.core.codebook import pack_responses, popcount
 from repro.core.enrollment import EnrollmentRecord
 from repro.core.lifecycle import RevocationRecord, RevokedChipError
 from repro.core.selection import ChallengeSelector
@@ -212,24 +211,6 @@ class _ChipState:
         self.tightened_selector: Optional[ChallengeSelector] = None
 
 
-@dataclasses.dataclass
-class _Session:
-    """A completed device read, admitted but not yet scored."""
-
-    request: int
-    chip_id: str
-    state: _ChipState
-    rung: int
-    attempts: int
-    spent: int
-    challenges: np.ndarray
-    predicted: np.ndarray
-    digests: Tuple[str, ...]
-    responses: np.ndarray
-    condition: OperatingCondition
-    start: float
-
-
 class AuthenticationService:
     """Drift-aware, fault-bounded front end over an enrollment database.
 
@@ -280,14 +261,6 @@ class AuthenticationService:
         # from the log length, so two unsynchronized appends could
         # claim one seq.
         self._audit_lock = threading.Lock()
-        # When a sink is set (thread-locally, so a concurrent shed from
-        # a submitter thread is unaffected), _emit buffers events there
-        # instead of appending to the log.  authenticate_batch runs all
-        # admissions before the shared scoring pass, so a mid-batch
-        # denial would otherwise land in the log BEFORE an earlier
-        # slot's decision; buffering per slot and flushing in slot
-        # order keeps the event stream identical to sequential serving.
-        self._emit_local = threading.local()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -359,26 +332,6 @@ class AuthenticationService:
         exception is pool exhaustion, which raises the typed
         :class:`PoolExhaustedError` after logging: an operator must
         intervene, the service will never replay a challenge.
-        """
-        outcome = self._run_session(responder, claimed_id, condition, deadline)
-        if isinstance(outcome, ServiceResult):
-            return outcome
-        return self._score(outcome)
-
-    def _run_session(
-        self,
-        responder: Responder,
-        claimed_id: Optional[str],
-        condition: OperatingCondition,
-        deadline: Optional[float],
-    ) -> "ServiceResult | _Session":
-        """Admission + challenge issue + device read for one request.
-
-        Returns the completed (unscored) :class:`_Session`, or the
-        request's final :class:`ServiceResult` when it never reached
-        scoring (admission fast-fail, read exhaustion, deadline).
-        Shared by :meth:`authenticate` and :meth:`authenticate_many`;
-        the latter scores many sessions in one packed pass.
         """
         request = self._requests
         self._requests += 1
@@ -512,19 +465,36 @@ class AuthenticationService:
                     f"deadline of {deadline}s exceeded during the device read",
                     rung=rung, attempts=attempt + 1, spent=spent,
                 )
-            responses = np.asarray(responses)
-            if responses.shape != predicted.shape:
-                raise ValueError(
-                    f"responder returned shape {responses.shape}, "
-                    f"expected {predicted.shape}"
-                )
-            return _Session(
-                request=request, chip_id=claimed_id, state=state, rung=rung,
-                attempts=attempt + 1, spent=spent, challenges=challenges,
-                predicted=predicted, digests=digests, responses=responses,
-                condition=condition, start=start,
+            break  # a completed read; every other path returned above
+
+        responses = np.asarray(responses)
+        if responses.shape != predicted.shape:
+            raise ValueError(
+                f"responder returned shape {responses.shape}, "
+                f"expected {predicted.shape}"
             )
-        raise AssertionError("unreachable")  # pragma: no cover
+        attempts = attempt + 1
+        n_mismatches = int((responses != predicted).sum())
+        approved = n_mismatches <= self.config.tolerance
+        self._observe_decision(request, claimed_id, state, rung, approved, start)
+        decision = AuthOutcome.APPROVED if approved else AuthOutcome.REJECTED
+        self._emit(request, claimed_id, decision, start=start, rung=rung,
+                   attempt=attempts, state=state, digests=digests,
+                   n_challenges=len(challenges), n_mismatches=n_mismatches,
+                   challenges_spent=len(challenges), condition=str(condition))
+        return ServiceResult(
+            request=request, chip_id=claimed_id, outcome=decision, rung=rung,
+            attempts=attempts, challenges_spent=spent,
+            latency=self._clock() - start,
+            auth=AuthResult(
+                approved=approved,
+                n_challenges=len(challenges),
+                n_mismatches=n_mismatches,
+                tolerance=self.config.tolerance,
+                condition=condition,
+                attempts=attempts,
+            ),
+        )
 
     def _per_item(
         self,
@@ -542,167 +512,46 @@ class AuthenticationService:
             )
         return list(values)
 
-    def _score_packed(
-        self,
-        pending: Sequence[Tuple[int, _Session]],
-        results: List,
-        sinks: Optional[Sequence[List[AuthEvent]]] = None,
-    ) -> None:
-        """Score completed sessions in one packed pass, in request order.
-
-        All sessions are bit-packed and XOR + popcount scored together;
-        each mismatch count is identical to the dense per-request
-        comparison, so :meth:`_score` renders bit-identical decisions.
-        *sinks* (slot-indexed, from :meth:`authenticate_batch`) routes
-        each slot's decision events into that slot's buffer.
-        """
-        if not pending:
-            return
-        packed_predicted = pack_responses(
-            np.stack([session.predicted for _, session in pending])
-        )
-        packed_responses = pack_responses(
-            np.stack([session.responses for _, session in pending])
-        )
-        mismatches = popcount(
-            np.bitwise_xor(packed_responses, packed_predicted)
-        ).sum(axis=-1, dtype=np.int64)
-        for (index, session), count in zip(pending, mismatches):
-            if sinks is not None:
-                self._emit_local.sink = sinks[index]
-            try:
-                results[index] = self._score(session, n_mismatches=int(count))
-            finally:
-                if sinks is not None:
-                    self._emit_local.sink = None
-
-    def authenticate_many(
-        self,
-        responders: Sequence[Responder],
-        claimed_ids: Optional[Sequence[Optional[str]]] = None,
-        *,
-        condition: OperatingCondition = NOMINAL_CONDITION,
-        conditions: Optional[Sequence[OperatingCondition]] = None,
-        deadline: Optional[float] = None,
-        deadlines: Optional[Sequence[Optional[float]]] = None,
-    ) -> List[ServiceResult]:
-        """Batched supervised authentication sharing one scoring pass.
-
-        Every request keeps its own admission decision (breaker,
-        limiter, budget, deadline) and its own **fresh, never-replayed**
-        challenge set -- batching changes nothing about the protocol's
-        security posture.  What the batch shares is the scoring: all
-        sessions that completed a device read are bit-packed and
-        XOR + popcount scored in a single pass, then finalized in
-        request order.  Results are identical to calling
-        :meth:`authenticate` per request.
-
-        *conditions* / *deadlines* optionally give every request its
-        own operating condition and time budget (the batching front
-        end coalesces requests that arrived with different ones); each
-        overrides the batch-wide *condition* / *deadline* per item.
-        """
-        if claimed_ids is None:
-            claimed_ids = [None] * len(responders)
-        if len(claimed_ids) != len(responders):
-            raise ValueError(
-                f"{len(responders)} responders but {len(claimed_ids)} claimed ids"
-            )
-        conditions = self._per_item(
-            "conditions", len(responders), conditions, condition
-        )
-        deadlines = self._per_item(
-            "deadlines", len(responders), deadlines, deadline
-        )
-        results: List[Optional[ServiceResult]] = [None] * len(responders)
-        pending: List[Tuple[int, _Session]] = []
-        for index, (responder, claimed_id) in enumerate(
-            zip(responders, claimed_ids)
-        ):
-            outcome = self._run_session(
-                responder, claimed_id, conditions[index], deadlines[index]
-            )
-            if isinstance(outcome, ServiceResult):
-                results[index] = outcome
-            else:
-                pending.append((index, outcome))
-        self._score_packed(pending, results)
-        return [result for result in results if result is not None]
-
     def authenticate_batch(
         self,
         responders: Sequence[Responder],
         claimed_ids: Optional[Sequence[Optional[str]]] = None,
         *,
-        condition: OperatingCondition = NOMINAL_CONDITION,
         conditions: Optional[Sequence[OperatingCondition]] = None,
-        deadline: Optional[float] = None,
         deadlines: Optional[Sequence[Optional[float]]] = None,
     ) -> List["ServiceResult | BaseException"]:
-        """:meth:`authenticate_many` with per-item exception capture.
+        """:meth:`authenticate` slot by slot, capturing each exception.
 
-        The coalescing front end's demux path: where
-        :meth:`authenticate_many` propagates the first raised exception
-        (aborting un-run batchmates), this variant runs *every*
-        request and returns, slot for slot, either its
-        :class:`ServiceResult` or the exception it raised -- exactly
-        the exception the same request would have raised as a
-        sequential :meth:`authenticate` call (e.g. the typed
-        :class:`PoolExhaustedError` after its audit event).  One
-        poisoned request therefore never takes its batchmates down.
+        The coalescing front end's demux path.  Every Fig.-7 session
+        owns its admission, fresh challenge set, budget charge and
+        device read, so a batch shares nothing worth packing: the slots
+        run sequentially, which makes results and the audit stream
+        identical to sequential serving by construction.  Each slot
+        returns its :class:`ServiceResult` or the exception the same
+        :meth:`authenticate` call raised (e.g. the typed
+        :class:`PoolExhaustedError` after its audit event), so one
+        poisoned request never takes its batchmates down.
 
-        Audit events are buffered per slot and flushed in slot order
-        after the scoring pass: admissions all run before scoring, so
-        direct emission would let a later slot's denial precede an
-        earlier slot's decision in the log.  The flushed stream is
-        exactly what sequential serving would have written.
+        *claimed_ids* / *conditions* / *deadlines* optionally give every
+        slot its own identity, operating condition and time budget.
         """
-        if claimed_ids is None:
-            claimed_ids = [None] * len(responders)
-        if len(claimed_ids) != len(responders):
-            raise ValueError(
-                f"{len(responders)} responders but {len(claimed_ids)} claimed ids"
-            )
-        conditions = self._per_item(
-            "conditions", len(responders), conditions, condition
+        n_items = len(responders)
+        slots = zip(
+            responders,
+            self._per_item("claimed ids", n_items, claimed_ids, None),
+            self._per_item("conditions", n_items, conditions, NOMINAL_CONDITION),
+            self._per_item("deadlines", n_items, deadlines, None),
         )
-        deadlines = self._per_item(
-            "deadlines", len(responders), deadlines, deadline
-        )
-        results: List[Optional["ServiceResult | BaseException"]] = (
-            [None] * len(responders)
-        )
-        pending: List[Tuple[int, _Session]] = []
-        sinks: List[List[AuthEvent]] = [[] for _ in responders]
-        try:
-            for index, (responder, claimed_id) in enumerate(
-                zip(responders, claimed_ids)
-            ):
-                self._emit_local.sink = sinks[index]
-                try:
-                    outcome = self._run_session(
-                        responder, claimed_id,
-                        conditions[index], deadlines[index],
-                    )
-                except Exception as exc:
-                    results[index] = exc
-                    continue
-                finally:
-                    self._emit_local.sink = None
-                if isinstance(outcome, ServiceResult):
-                    results[index] = outcome
-                else:
-                    pending.append((index, outcome))
-            self._score_packed(pending, results, sinks)
-        finally:
-            self._emit_local.sink = None
-            with self._audit_lock:
-                for buffered in sinks:
-                    for event in buffered:
-                        self.audit.append(
-                            dataclasses.replace(event, seq=len(self.audit))
-                        )
-        return list(results)
+        results: List["ServiceResult | BaseException"] = []
+        for responder, claimed_id, condition, deadline in slots:
+            try:
+                results.append(self.authenticate(
+                    responder, claimed_id=claimed_id,
+                    condition=condition, deadline=deadline,
+                ))
+            except Exception as exc:
+                results.append(exc)
+        return results
 
     def identify_many(
         self,
@@ -982,77 +831,46 @@ class AuthenticationService:
             )
         return np.asarray(responder.xor_response(challenges, condition))
 
-    def _score(
-        self, session: _Session, n_mismatches: Optional[int] = None
-    ) -> ServiceResult:
-        """Score one completed session and apply its state transitions.
-
-        *n_mismatches* is passed by the batched path, which counts
-        mismatches for the whole batch in one packed popcount pass; the
-        count is identical to the dense comparison here.
-        """
-        request = session.request
-        chip_id = session.chip_id
-        state = session.state
-        rung = session.rung
-        attempts = session.attempts
-        spent = session.spent
-        challenges = session.challenges
-        predicted = session.predicted
-        digests = session.digests
-        responses = session.responses
-        condition = session.condition
-        start = session.start
-        if n_mismatches is None:
-            n_mismatches = int((responses != predicted).sum())
-        approved = n_mismatches <= self.config.tolerance
+    def _observe_decision(
+        self,
+        request: int,
+        chip_id: str,
+        state: _ChipState,
+        rung: int,
+        approved: bool,
+        start: float,
+    ) -> None:
+        """Feed one scored verdict into the chip's breaker, limiter and ladder."""
         state.breaker.record_success()
         if approved:
             state.limiter.record_approved()
         else:
             state.limiter.record_rejected()
         new_rung = state.drift.observe(approved)
-        if new_rung != rung:
-            outcome = (
-                AuthOutcome.RUNG_ESCALATED if new_rung > rung
-                else AuthOutcome.RUNG_RECOVERED
+        if new_rung == rung:
+            return
+        outcome = (
+            AuthOutcome.RUNG_ESCALATED if new_rung > rung
+            else AuthOutcome.RUNG_RECOVERED
+        )
+        self._emit(request, chip_id, outcome, start=start, rung=new_rung,
+                   state=state,
+                   detail=f"rolling FRR moved rung {rung} -> {new_rung}")
+        if (
+            new_rung == MAX_RUNG
+            and state.drift.flagged_for_retightening
+            and not state.retighten_announced
+        ):
+            state.retighten_announced = True
+            self._emit(
+                request, chip_id, AuthOutcome.RETIGHTEN_FLAGGED,
+                start=start, rung=new_rung, state=state,
+                detail=(
+                    "chip flagged for threshold re-tightening "
+                    f"(beta0 x{self.config.retighten_beta0}, "
+                    f"beta1 x{self.config.retighten_beta1})"
+                ),
             )
-            self._emit(request, chip_id, outcome, start=start, rung=new_rung,
-                       state=state,
-                       detail=f"rolling FRR moved rung {rung} -> {new_rung}")
-            if (
-                new_rung == MAX_RUNG
-                and state.drift.flagged_for_retightening
-                and not state.retighten_announced
-            ):
-                state.retighten_announced = True
-                self._emit(
-                    request, chip_id, AuthOutcome.RETIGHTEN_FLAGGED,
-                    start=start, rung=new_rung, state=state,
-                    detail=(
-                        "chip flagged for threshold re-tightening "
-                        f"(beta0 x{self.config.retighten_beta0}, "
-                        f"beta1 x{self.config.retighten_beta1})"
-                    ),
-                )
-        auth = AuthResult(
-            approved=approved,
-            n_challenges=len(challenges),
-            n_mismatches=n_mismatches,
-            tolerance=self.config.tolerance,
-            condition=condition,
-            attempts=attempts,
-        )
-        decision = AuthOutcome.APPROVED if approved else AuthOutcome.REJECTED
-        self._emit(request, chip_id, decision, start=start, rung=rung,
-                   attempt=attempts, state=state, digests=digests,
-                   n_challenges=len(challenges), n_mismatches=n_mismatches,
-                   challenges_spent=len(challenges), condition=str(condition))
-        return ServiceResult(
-            request=request, chip_id=chip_id, outcome=decision, rung=rung,
-            attempts=attempts, challenges_spent=spent,
-            latency=self._clock() - start, auth=auth,
-        )
 
     def _emit(
         self,
@@ -1071,31 +889,25 @@ class AuthenticationService:
         challenges_spent: int = 0,
         condition: str = "",
     ) -> AuthEvent:
-        event = AuthEvent(
-            seq=-1,  # assigned at append (or at batch flush)
-            request=request,
-            chip_id=chip_id,
-            outcome=outcome,
-            rung=rung,
-            attempt=attempt,
-            n_challenges=n_challenges,
-            n_mismatches=n_mismatches,
-            challenges_spent=challenges_spent,
-            condition=condition,
-            budget_remaining=(
-                state.budget.remaining if state is not None else None
-            ),
-            breaker_state=(
-                state.breaker.state.value if state is not None else ""
-            ),
-            latency=self._clock() - start,
-            detail=detail,
-            digests=digests,
-        )
-        sink = getattr(self._emit_local, "sink", None)
-        if sink is not None:
-            sink.append(event)
-            return event
         with self._audit_lock:
-            event = dataclasses.replace(event, seq=len(self.audit))
-            return self.audit.append(event)
+            return self.audit.append(AuthEvent(
+                seq=len(self.audit),
+                request=request,
+                chip_id=chip_id,
+                outcome=outcome,
+                rung=rung,
+                attempt=attempt,
+                n_challenges=n_challenges,
+                n_mismatches=n_mismatches,
+                challenges_spent=challenges_spent,
+                condition=condition,
+                budget_remaining=(
+                    state.budget.remaining if state is not None else None
+                ),
+                breaker_state=(
+                    state.breaker.state.value if state is not None else ""
+                ),
+                latency=self._clock() - start,
+                detail=detail,
+                digests=digests,
+            ))

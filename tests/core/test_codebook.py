@@ -23,8 +23,8 @@ from repro.core.codebook import (
     packed_match_fractions,
     popcount,
 )
-from repro.core.server import AuthenticationServer, UnknownChipError
-from repro.silicon.chip import PufChip, fabricate_lot
+from repro.core.server import AuthenticationServer
+from repro.silicon.chip import fabricate_lot
 
 N_STAGES = 32
 
@@ -173,26 +173,6 @@ class TestCodebookIdentify:
         assert [r.match_fraction for r in batch] == [
             r.match_fraction for r in singles
         ]
-
-    def test_authenticate_many(self, lot_and_server):
-        lot, server = lot_and_server
-
-        class Inverting:
-            def __init__(self, chip):
-                self._chip = chip
-                self.chip_id = chip.chip_id
-
-            def xor_response(self, challenges, condition=None):
-                return 1 - np.asarray(self._chip.xor_response(challenges))
-
-        results = server.authenticate_many(
-            list(lot) + [Inverting(lot[0])], seed=174
-        )
-        assert [r.approved for r in results] == [True, True, True, False]
-        with pytest.raises(UnknownChipError):
-            server.authenticate_many(
-                [PufChip.create(3, N_STAGES, seed=999, chip_id="stranger")]
-            )
 
 
 class TestEpochInvalidation:

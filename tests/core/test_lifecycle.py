@@ -112,8 +112,6 @@ class TestRevokedServing:
         server.revoke(lot[0].chip_id)
         with pytest.raises(RevokedChipError, match="authentication"):
             server.authenticate(lot[0], seed=1)
-        with pytest.raises(RevokedChipError):
-            server.authenticate_many(lot, seed=2)
         # The other chip still authenticates normally.
         assert server.authenticate(lot[1], seed=3).approved
 

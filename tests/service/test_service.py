@@ -333,14 +333,14 @@ class TestDegradationLadder:
 
 
 class TestBatchedServing:
-    def test_authenticate_many_equals_per_request(
+    def test_authenticate_batch_equals_per_request(
         self, make_service, enrolled_chip_and_record
     ):
-        """One packed scoring pass, identical verdicts and scores."""
+        """Identical verdicts and scores to per-request serving."""
         chip, _ = enrolled_chip_and_record
         batch = [chip, InvertingResponder(chip), chip]
         service, _ = make_service()
-        batched = service.authenticate_many(batch)
+        batched = service.authenticate_batch(batch)
         service_ref, _ = make_service()
         singles = [service_ref.authenticate(r) for r in batch]
         assert [r.outcome for r in batched] == [r.outcome for r in singles]
@@ -355,7 +355,7 @@ class TestBatchedServing:
         """Every batched session still gets a fresh challenge set."""
         chip, _ = enrolled_chip_and_record
         service, _ = make_service()
-        service.authenticate_many([chip] * 4)
+        service.authenticate_batch([chip] * 4)
         digests = service.audit.issued_digests(chip.chip_id)
         assert len(digests) == 4 * service.config.n_challenges
         assert len(set(digests)) == len(digests)
@@ -373,13 +373,38 @@ class TestBatchedServing:
                 return np.zeros(len(challenges), dtype=np.int8)
 
         service, _ = make_service()
-        results = service.authenticate_many([chip, Anonymous(), chip])
+        results = service.authenticate_batch([chip, Anonymous(), chip])
         assert [r.outcome for r in results] == [
             AuthOutcome.APPROVED,
             AuthOutcome.UNKNOWN_CHIP,
             AuthOutcome.APPROVED,
         ]
         assert [r.request for r in results] == [0, 1, 2]
+
+    def test_batch_same_chip_sees_earlier_slot_decision(
+        self, make_service, enrolled_chip_and_record
+    ):
+        """A slot is admitted only after the previous slot was scored.
+
+        Under a hair-trigger drift policy the impostor's rejection
+        escalates the chip to rung 1, so the genuine request behind it
+        in the same batch must be served with the k-shot vote.
+        """
+        chip, _ = enrolled_chip_and_record
+        policy = DriftPolicy(window=4, min_samples=1, escalate_frr=0.5)
+        batch = [InvertingResponder(chip), chip]
+        service, _ = make_service(drift=policy)
+        batched = service.authenticate_batch(batch)
+        service_ref, _ = make_service(drift=policy)
+        singles = [service_ref.authenticate(r) for r in batch]
+
+        assert [r.rung for r in batched] == [r.rung for r in singles] == [0, 1]
+        assert [r.outcome for r in batched] == [r.outcome for r in singles]
+
+        def stream(svc):
+            return [(event.outcome, event.rung) for event in svc.audit]
+
+        assert stream(service) == stream(service_ref)
 
     def test_identify_many_audits_without_digests(
         self, make_service, enrolled_chip_and_record

@@ -21,7 +21,7 @@ selection does not depend on the chunk sizes.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,17 +91,20 @@ class ChallengeSelector:
         challenges = as_challenge_array(challenges, self.n_stages)
         return self._categories_trusted(challenges)
 
-    def _categories_trusted(self, challenges: np.ndarray) -> np.ndarray:
+    def _categories_trusted(
+        self, challenges: np.ndarray, phi: Optional[np.ndarray] = None
+    ) -> np.ndarray:
         """:meth:`categories` minus the 0/1 content scan.
 
         For batches from trusted internal sources: :meth:`categories`
         after its own boundary validation, and the rejection loop's
         :class:`~repro.crp.challenges.ChallengeStream` draws (the stream
         only ever emits 0/1 bits).  Rescanning every rejected batch was
-        pure overhead in the selection hot loop.
+        pure overhead in the selection hot loop.  *phi* is an optional
+        ``(n, k + 1)`` buffer for the parity features.
         """
         predicted = self.xor_model.predict_individual_soft_from_features(
-            parity_features(challenges, validate=False)
+            parity_features(challenges, out=phi, validate=False)
         )
         return np.stack(
             [
@@ -165,6 +168,7 @@ class ChallengeSelector:
         responses: List[np.ndarray] = []
         collected = 0
         chunk = FIRST_CHUNK
+        phi = np.empty((MAX_CHUNK, self.n_stages + 1))
         while collected < n_challenges:
             if stream.drawn >= max_draws:
                 raise SelectionExhaustedError(
@@ -176,7 +180,7 @@ class ChallengeSelector:
             # One classification pass per batch: the stability mask and
             # the predicted bits are both read off the same category
             # array (the bits are valid exactly where the mask holds).
-            categories = self._categories_trusted(batch)
+            categories = self._categories_trusted(batch, phi[: len(batch)])
             mask = (categories != ResponseCategory.UNSTABLE).all(axis=0)
             if not mask.any():
                 continue

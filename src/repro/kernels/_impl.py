@@ -82,7 +82,8 @@ def parity_fill(challenges: np.ndarray, out: np.ndarray) -> None:
 
     ``challenges`` is ``(n, k)`` int8 {0, 1}; ``out`` is ``(n, k + 1)``
     float64.  All products are over exact +/-1 values, so the result is
-    bit-identical to the vectorized cumprod reference at any order.
+    bit-identical to the numpy backend's packed suffix-XOR fill at any
+    order.
     """
     n, k = challenges.shape
     for i in prange(n):

@@ -1,7 +1,6 @@
 """The NumPy reference backend.
 
-These are the exact vectorized implementations the library shipped
-before the kernel layer existed, wrapped in the
+Vectorized numpy implementations wrapped in the
 :class:`~repro.kernels.backend.KernelBackend` interface.  They are the
 equality oracle of the backend contract: the numpy backend is
 bit-identical to the seed code path, and every other backend is
@@ -23,18 +22,41 @@ __all__ = ["make_backend"]
 
 
 def _parity_fill(challenges: np.ndarray, out: np.ndarray) -> None:
-    """Vectorized parity transform into a preallocated buffer.
+    """Parity features from packed suffix-XOR words into *out*.
 
-    Signed bits are written straight into the feature buffer as float64
-    (single conversion), then reduced in place with a reversed cumprod:
-    ``phi[:, i] = prod_{j >= i} (1 - 2 c_j)``.
+    ``phi[:, i] = prod_{j >= i} (1 - 2 c_j) = 1 - 2 (c_i ^ ... ^ c_{k-1})``,
+    so the fill computes suffix parities on bit-packed rows.  Each row
+    is packed MSB-first into big-endian 64-bit words (bit ``i`` of the
+    string is ``c_i``, zero-padded past ``k``), and ``log2 k`` steps of
+    ``words ^= words << s`` (carrying across word boundaries) leave bit
+    ``i`` holding the parity of bits ``i .. i + 2s - 1``: the whole
+    suffix once ``2s >= k``.  The bias column ``k`` unpacks as padding,
+    parity 0.  One contiguous write maps each parity bit ``b`` to
+    ``1 - 2b``; every value is an exact +/-1, so the result equals the
+    reversed cumprod over signed bits bit for bit.
     """
-    n, k1 = out.shape
-    k = k1 - 1
-    np.multiply(challenges, -2.0, out=out[:, :k])
-    out[:, :k] += 1.0
-    out[:, k] = 1.0
-    np.cumprod(out[:, k - 1 :: -1], axis=1, out=out[:, k - 1 :: -1])
+    n, k = challenges.shape
+    n_words = -(-k // 64)
+    packed = np.zeros((n, 8 * n_words), dtype=np.uint8)
+    packed[:, : -(-k // 8)] = np.packbits(challenges, axis=1)
+    words = packed.view(">u8").astype(np.uint64)
+    shift = 1
+    while shift < k:
+        whole, part = divmod(shift, 64)
+        if part:
+            moved = words << np.uint64(part)
+            moved[:, :-1] |= words[:, 1:] >> np.uint64(64 - part)
+        else:
+            moved = words[:, whole:]
+        words[:, : n_words - whole] ^= moved
+        shift *= 2
+    # unpackbits zero-pads past the last word when k is a multiple of 64.
+    signs = np.unpackbits(
+        words.astype(">u8").view(np.uint8), axis=1, count=k + 1
+    ).view(np.int8)
+    signs *= -2
+    signs += 1
+    np.copyto(out, signs)
 
 
 def _ndtr(x: np.ndarray) -> np.ndarray:

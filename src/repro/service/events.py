@@ -126,7 +126,7 @@ def challenge_digests(challenges: np.ndarray) -> Tuple[str, ...]:
     )
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class AuthEvent:
     """One structured audit record.
 
@@ -248,16 +248,25 @@ class AuditLog:
         ]
 
     def replayed_digests(self) -> Dict[str, List[str]]:
-        """``chip_id -> digests issued more than once`` (empty = healthy)."""
+        """``chip_id -> digests issued more than once`` (empty = healthy).
+
+        One pass groups the digest-carrying events by chip; each chip's
+        events are then checked against one set, dropped before the next
+        chip's, so memory stays at one chip's digests.
+        """
+        by_chip: Dict[str, List[AuthEvent]] = {}
+        for event in self._events:
+            if event.chip_id is not None and event.digests:
+                by_chip.setdefault(event.chip_id, []).append(event)
         replayed: Dict[str, List[str]] = {}
-        chip_ids = {e.chip_id for e in self._events if e.chip_id is not None}
-        for chip_id in sorted(chip_ids):
+        for chip_id in sorted(by_chip):
             seen: set = set()
             duplicates: List[str] = []
-            for digest in self.issued_digests(chip_id):
-                if digest in seen:
-                    duplicates.append(digest)
-                seen.add(digest)
+            for event in by_chip[chip_id]:
+                for digest in event.digests:
+                    if digest in seen:
+                        duplicates.append(digest)
+                    seen.add(digest)
             if duplicates:
                 replayed[chip_id] = duplicates
         return replayed

@@ -33,6 +33,7 @@ failure surface is exercisable deterministically in tests and in the
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
@@ -177,6 +178,32 @@ class ServiceResult:
         return self.outcome is AuthOutcome.APPROVED
 
 
+def _digest_keys(digests: Sequence[str]) -> np.ndarray:
+    """The 8-byte values of hex challenge digests, as ``uint64``.
+
+    Hex text and its 8 bytes are a bijection, so membership by key is
+    exactly membership by digest, at 8 bytes a row.
+    """
+    return np.frombuffer(bytes.fromhex("".join(digests)), dtype=">u8").astype(
+        np.uint64
+    )
+
+
+def _issued_mask(issued: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which *keys* the sorted *issued* array holds."""
+    at = np.searchsorted(issued, keys)
+    found = at < len(issued)
+    found[found] = issued[at[found]] == keys[found]
+    return found
+
+
+@functools.lru_cache(maxsize=64)
+def _condition_label(condition: OperatingCondition) -> str:
+    """``str(condition)``, built once per condition: every audit event
+    holds one."""
+    return str(condition)
+
+
 class _ChipState:
     """Per-identity serving state (breaker, limiter, drift, budget)."""
 
@@ -205,7 +232,9 @@ class _ChipState:
             low_water_fraction=config.low_water_fraction,
         )
         self.nonce = 0
-        self.issued: Set[str] = set()
+        #: Sorted 8-byte values of every digest ever issued (see
+        #: :func:`_digest_keys`).
+        self.issued = np.empty(0, dtype=np.uint64)
         self.retighten_announced = False
         self.retighten_committed = False
         self.tightened_selector: Optional[ChallengeSelector] = None
@@ -378,7 +407,7 @@ class AuthenticationService:
                  spent: int = 0) -> ServiceResult:
             self._emit(request, claimed_id, outcome, start=start, rung=rung,
                        attempt=attempts, state=state, detail=detail,
-                       condition=str(condition))
+                       condition=_condition_label(condition))
             return ServiceResult(
                 request=request, chip_id=claimed_id, outcome=outcome,
                 rung=rung, attempts=attempts, challenges_spent=spent,
@@ -428,7 +457,10 @@ class AuthenticationService:
                            state=state, detail=str(exc))
                 raise
             spent += len(challenges)
-            state.issued.update(digests)
+            keys = np.sort(_digest_keys(digests))
+            state.issued = np.insert(
+                state.issued, np.searchsorted(state.issued, keys), keys
+            )
             if crossed_low_water:
                 message = (
                     f"challenge pool of {claimed_id!r} below "
@@ -448,7 +480,7 @@ class AuthenticationService:
                            state=state, detail=str(exc), digests=digests,
                            n_challenges=len(challenges),
                            challenges_spent=len(challenges),
-                           condition=str(condition))
+                           condition=_condition_label(condition))
                 if attempt + 1 >= self.config.max_read_attempts:
                     state.breaker.record_failure()
                     return deny(
@@ -481,7 +513,8 @@ class AuthenticationService:
         self._emit(request, claimed_id, decision, start=start, rung=rung,
                    attempt=attempts, state=state, digests=digests,
                    n_challenges=len(challenges), n_mismatches=n_mismatches,
-                   challenges_spent=len(challenges), condition=str(condition))
+                   challenges_spent=len(challenges),
+                   condition=_condition_label(condition))
         return ServiceResult(
             request=request, chip_id=claimed_id, outcome=decision, rung=rung,
             attempts=attempts, challenges_spent=spent,
@@ -638,7 +671,7 @@ class AuthenticationService:
                 start=start,
                 n_challenges=self.config.n_challenges,
                 detail=detail,
-                condition=str(item_condition),
+                condition=_condition_label(item_condition),
             )
         return results
 
@@ -791,10 +824,12 @@ class AuthenticationService:
             seed = derive_generator(self._seed, "service", chip_id, state.nonce)
             state.nonce += 1
             challenges, predicted = selector.select(n_needed, seed)
-            for row, bit, digest in zip(
-                challenges, predicted, challenge_digests(challenges)
+            digests = challenge_digests(challenges)
+            issued = _issued_mask(state.issued, _digest_keys(digests))
+            for row, bit, digest, was_issued in zip(
+                challenges, predicted, digests, issued
             ):
-                if digest in state.issued or digest in batch_seen:
+                if was_issued or digest in batch_seen:
                     continue
                 batch_seen.add(digest)
                 kept_challenges.append(row)

@@ -34,6 +34,9 @@ from repro.utils.validation import as_challenge_array, check_positive_int
 
 __all__ = ["XorArbiterPuf", "xor_probability"]
 
+#: Rows per shared parity-feature chunk of a device read.
+FEATURE_CHUNK = 4096
+
 
 def xor_probability(probabilities: np.ndarray) -> np.ndarray:
     """``Pr(XOR of independent bits = 1)`` from per-bit probabilities.
@@ -190,6 +193,32 @@ class XorArbiterPuf:
         phi = parity_features(challenges, validate=False)
         return self.noise_free_response_from_features(phi, condition)
 
+    def _delays(
+        self,
+        challenges: np.ndarray,
+        condition: OperatingCondition,
+    ) -> np.ndarray:
+        """``(n_pufs, n_challenges)`` noise-free delay differences.
+
+        The challenges are validated once and their parity features are
+        built in chunks of at most :data:`FEATURE_CHUNK` rows, one buffer
+        shared by every constituent, so a large read never holds a full
+        feature matrix.  Each constituent consumes a chunk through
+        :meth:`~repro.silicon.arbiter.ArbiterPuf.delay_difference_from_features`,
+        as its own single-PUF path does.
+        """
+        challenges = as_challenge_array(challenges, self.n_stages)
+        n = challenges.shape[0]
+        delays = np.empty((self.n_pufs, n), dtype=np.float64)
+        phi = np.empty((min(n, FEATURE_CHUNK), self.n_stages + 1))
+        for lo in range(0, n, FEATURE_CHUNK):
+            rows = challenges[lo : lo + FEATURE_CHUNK]
+            hi = lo + len(rows)
+            features = parity_features(rows, out=phi[: len(rows)], validate=False)
+            for delay, puf in zip(delays, self.pufs):
+                delay[lo:hi] = puf.delay_difference_from_features(features, condition)
+        return delays
+
     def eval(
         self,
         challenges: np.ndarray,
@@ -197,8 +226,9 @@ class XorArbiterPuf:
         rng: Optional[np.random.Generator] = None,
     ) -> np.ndarray:
         """One noisy XOR evaluation per challenge."""
-        responses = [puf.eval(challenges, condition, rng) for puf in self.pufs]
-        return np.bitwise_xor.reduce(np.stack(responses), axis=0)
+        return np.bitwise_xor.reduce(
+            self.individual_eval(challenges, condition, rng), axis=0
+        )
 
     def individual_eval(
         self,
@@ -208,10 +238,21 @@ class XorArbiterPuf:
     ) -> np.ndarray:
         """``(n_pufs, n_challenges)`` noisy per-constituent responses.
 
+        Each constituent's noise is drawn over the whole batch, in
+        constituent order, from its own generator (or *rng* when
+        given), so the noise streams match per-constituent
+        :meth:`~repro.silicon.arbiter.ArbiterPuf.eval` calls.
+
         Only legitimately reachable during enrollment (through the fuse
         gate in :class:`~repro.silicon.chip.PufChip`).
         """
-        return np.stack([puf.eval(challenges, condition, rng) for puf in self.pufs])
+        delays = self._delays(challenges, condition)
+        for delay, puf in zip(delays, self.pufs):
+            noise_rng = puf.rng if rng is None else rng
+            delay += noise_rng.normal(
+                0.0, puf.noise.sigma_at(condition), size=delay.shape
+            )
+        return (delays > 0).astype(np.int8)
 
     def stable_mask(
         self,
@@ -227,8 +268,10 @@ class XorArbiterPuf:
         """
         n_trials = check_positive_int(n_trials, "n_trials")
         mask = None
-        for puf in self.pufs:
-            counts = puf.eval_counts(challenges, n_trials, condition, rng)
+        for delay, puf in zip(self._delays(challenges, condition), self.pufs):
+            count_rng = puf.rng if rng is None else rng
+            p = puf.noise.response_probability(delay, condition)
+            counts = count_rng.binomial(n_trials, p).astype(np.int64)
             stable = (counts == 0) | (counts == n_trials)
             mask = stable if mask is None else (mask & stable)
         return mask

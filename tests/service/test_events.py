@@ -68,6 +68,26 @@ class TestAuditLog:
         assert log.replayed_digests() == {"chip-0": ["bb"]}
         assert log.issued_digests("chip-0") == ["aa", "bb", "bb", "cc"]
 
+    def test_replays_in_two_chips_match_a_per_chip_rescan(self):
+        log = AuditLog()
+        log.append(event(0, "chip-b", digests=("aa", "bb")))
+        log.append(event(1, "chip-a", digests=("aa", "cc")))
+        log.append(event(2, None, digests=("aa", "aa")))  # anonymous: skipped
+        log.append(event(3, "chip-b", digests=("bb", "dd", "bb")))
+        log.append(event(4, "chip-a", AuthOutcome.RUNG_ESCALATED))
+        log.append(event(5, "chip-a", digests=("cc", "ee", "aa")))
+        replayed = log.replayed_digests()
+        assert replayed == {"chip-a": ["cc", "aa"], "chip-b": ["bb", "bb"]}
+        assert list(replayed) == ["chip-a", "chip-b"]
+
+        rescan = {}
+        for chip_id in ("chip-a", "chip-b"):
+            digests = log.issued_digests(chip_id)
+            duplicates = [d for i, d in enumerate(digests) if d in digests[:i]]
+            if duplicates:
+                rescan[chip_id] = duplicates
+        assert replayed == rescan
+
     def test_save_round_trips_through_json_lines(self, tmp_path):
         log = AuditLog()
         log.append(event(0, digests=("aa", "bb")))

@@ -21,6 +21,7 @@ from repro.service import (
     ServiceConfig,
     VirtualClock,
 )
+from repro.service import service as service_module
 
 pytestmark = [pytest.mark.service, pytest.mark.faults]
 
@@ -119,6 +120,38 @@ class TestHappyPath:
         assert len(digests) == 5 * service.config.n_challenges
         assert len(set(digests)) == len(digests)
         assert service.audit.replayed_digests() == {}
+
+
+class TestIssuedKeys:
+    """The per-chip no-replay record holds each issued digest's 8 bytes
+    in one sorted ``uint64`` array."""
+
+    def test_keys_are_the_digest_bytes(self):
+        digests = ("0000000000000000", "ffffffffffffffff", "0123456789abcdef")
+        keys = service_module._digest_keys(digests)
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [int(d, 16) for d in digests]
+
+    def test_mask_on_empty_and_edges(self):
+        keys = np.array([0, 5, 2**64 - 1], dtype=np.uint64)
+        empty = np.empty(0, dtype=np.uint64)
+        assert service_module._issued_mask(empty, keys).tolist() == [False] * 3
+        issued = np.array([5, 2**64 - 1], dtype=np.uint64)
+        assert service_module._issued_mask(issued, keys).tolist() == [
+            False, True, True,
+        ]
+
+    def test_record_is_sorted_and_matches_the_audit_log(
+        self, make_service, enrolled_chip_and_record
+    ):
+        chip, _ = enrolled_chip_and_record
+        service, _ = make_service()
+        for _ in range(4):
+            service.authenticate(chip)
+        issued = service._chips[chip.chip_id].issued
+        assert np.all(issued[1:] > issued[:-1])
+        digests = service.audit.issued_digests(chip.chip_id)
+        assert issued.tolist() == sorted(int(d, 16) for d in digests)
 
 
 class TestAdmission:

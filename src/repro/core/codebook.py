@@ -13,11 +13,12 @@ This module turns identification into a table lookup:
   threshold re-tightening) each identity's selected challenge block and
   predicted XOR responses are materialized **once**;
 * predicted responses are bit-packed with :func:`numpy.packbits` into a
-  contiguous ``(n_identities, n_bytes)`` codebook;
+  contiguous ``(n_identities, n_bytes)`` codebook, each row zero-padded
+  to whole 64-bit words;
 * ``identify`` becomes one stacked responder query followed by
-  XOR + popcount Hamming scoring against **all** rows at once
-  (:func:`numpy.bitwise_count` where available, a 256-entry lookup
-  table otherwise).
+  XOR + popcount Hamming scoring against **all** rows at once, on
+  ``uint64`` word views (:func:`numpy.bitwise_count` where available,
+  a 256-entry byte lookup table otherwise).
 
 Scores are bit-identical to the dense ``(responses == predicted).mean``
 path: both reduce to ``n_equal / n_challenges`` with the same two
@@ -101,35 +102,64 @@ def popcount(packed: np.ndarray, *, use_lut: bool = False) -> np.ndarray:
     return _POPCOUNT_LUT[packed]
 
 
+def padded_bits(n_challenges: int) -> int:
+    """Bits per packed row: *n_challenges* rounded up to whole 64-bit words."""
+    return 64 * -(-n_challenges // 64)
+
+
+def _check_response_bits(bits: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every entry of *bits* is 0 or 1.
+
+    Validation must not allocate grid-sized temporaries: a serving pass
+    checks every transcript of a batch.  One-byte integer answers are
+    range-checked with a single read-only ``max`` over their uint8 view
+    (a negative int8 wraps above 1); wider integers take ``min`` and
+    ``max``; only odd dtypes (floats, objects) pay for elementwise
+    comparisons.
+    """
+    kind = bits.dtype.kind
+    if not bits.size or kind == "b":
+        return
+    if kind in "iu":
+        if bits.dtype.itemsize == 1:
+            bad = int(bits.view(np.uint8).max()) > 1
+        else:
+            bad = int(bits.min()) < 0 or int(bits.max()) > 1
+    else:
+        bad = not ((bits == 0) | (bits == 1)).all()
+    if bad:
+        raise ValueError("response bits must be 0/1")
+
+
+def _pack_padded(grid: np.ndarray) -> np.ndarray:
+    """Pack a C-contiguous 0/1 uint8 grid whose rows are whole words.
+
+    The last axis holds :func:`padded_bits` bits, a multiple of 64, so
+    one flat :func:`numpy.packbits` over the whole grid packs every row
+    exactly as a per-row pack would, and each packed row is a whole
+    number of ``uint64`` words.
+    """
+    return np.packbits(grid.reshape(-1)).reshape(
+        grid.shape[:-1] + (grid.shape[-1] // 8,)
+    )
+
+
 def pack_responses(bits: np.ndarray) -> np.ndarray:
     """Bit-pack 0/1 response bits along the last axis (big-endian).
 
-    ``n_challenges`` that is not a multiple of 8 is padded with zero
-    bits; because both sides of every comparison are packed the same
-    way, the pad bits XOR to zero and never contribute to a Hamming
-    distance.
+    Each row is padded with zero bits to whole 64-bit words
+    (``padded_bits(n) // 8`` bytes), so the scorer can XOR and popcount
+    ``uint64`` views.  Both sides of every comparison are packed the
+    same way, so the pad bits XOR to zero and never contribute to a
+    Hamming distance.  At a multiple of 64 bits the bytes are exactly
+    :func:`numpy.packbits`'.
     """
     bits = np.asarray(bits)
-    # Validation must not allocate grid-sized temporaries: a batched
-    # serving pass packs (n_requests, n_identities * n_challenges)
-    # grids that dwarf the cache, where the old
-    # ``np.isin(bits, (0, 1))`` sort was the dominant cost of the
-    # whole pass.  Integer/bool grids are range-checked with two
-    # read-only reductions; only odd dtypes (floats, objects) pay for
-    # elementwise comparisons.
-    if bits.size:
-        if bits.dtype == np.bool_:
-            pass
-        elif np.issubdtype(bits.dtype, np.integer):
-            if int(bits.min()) < 0 or int(bits.max()) > 1:
-                raise ValueError("response bits must be 0/1")
-        elif not ((bits == 0) | (bits == 1)).all():
-            raise ValueError("response bits must be 0/1")
-    if bits.dtype.itemsize == 1 and bits.dtype != np.uint8:
-        # A validated 0/1 int8/bool array reinterprets as uint8 for
-        # free; astype would copy the full grid.
-        bits = bits.view(np.uint8)
-    return np.packbits(bits.astype(np.uint8, copy=False), axis=-1)
+    _check_response_bits(bits)
+    n_bits = bits.shape[-1]
+    grid = np.zeros(bits.shape[:-1] + (padded_bits(n_bits),), dtype=np.uint8)
+    grid[..., :n_bits] = bits
+    return _pack_padded(grid)
 
 
 def packed_match_fractions(
@@ -144,8 +174,8 @@ def packed_match_fractions(
     Parameters
     ----------
     packed_responses / packed_predicted:
-        Broadcast-compatible uint8 arrays whose last axis holds
-        ``ceil(n_challenges / 8)`` packed bytes.
+        Broadcast-compatible uint8 arrays whose last axis holds the
+        word-padded rows :func:`pack_responses` produces.
     n_challenges:
         True (unpadded) number of response bits per row.
 
@@ -158,15 +188,22 @@ def packed_match_fractions(
     On a kernel backend that provides compiled packed scorers
     (:mod:`repro.kernels`), the two serving-hot shapes -- row-aligned
     pairs and the request-grid-vs-codebook matrix -- run through a
-    parallel XOR + popcount kernel; every other broadcast combination
-    (and ``use_lut=True``) takes the vectorized numpy path.  Distances
-    are integers either way, so the scores are bit-identical.
+    parallel XOR + popcount kernel; everything else XORs and popcounts
+    ``uint64`` word views (``use_lut=True`` counts bytes through the
+    lookup table).  Distances are integers either way, so the scores
+    are bit-identical.
     """
     check_positive_int(n_challenges, "n_challenges")
+    packed_responses = np.asarray(packed_responses, dtype=np.uint8)
+    packed_predicted = np.asarray(packed_predicted, dtype=np.uint8)
+    for packed in (packed_responses, packed_predicted):
+        if packed.shape[-1] % 8:
+            raise ValueError(
+                f"packed rows of {packed.shape[-1]} bytes are not whole "
+                "64-bit words; pack them with pack_responses"
+            )
     distances = _packed_distances(
-        np.asarray(packed_responses, dtype=np.uint8),
-        np.asarray(packed_predicted, dtype=np.uint8),
-        use_lut=use_lut,
+        packed_responses, packed_predicted, use_lut=use_lut
     )
     return (n_challenges - distances) / float(n_challenges)
 
@@ -201,8 +238,11 @@ def _packed_distances(
                     out,
                 )
                 return out
-    xored = np.bitwise_xor(a, b)
-    return popcount(xored, use_lut=use_lut).sum(axis=-1, dtype=np.int64)
+    if use_lut or not _HAVE_BITWISE_COUNT:
+        xored = np.bitwise_xor(a, b)
+        return popcount(xored, use_lut=True).sum(axis=-1, dtype=np.int64)
+    words = np.bitwise_xor(a.view(np.uint64), b.view(np.uint64))
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -263,7 +303,8 @@ class CodebookRow:
     predicted:
         ``(n_challenges,)`` predicted XOR bits (int8).
     packed:
-        ``(ceil(n_challenges / 8),)`` bit-packed *predicted* (uint8).
+        ``(8 * ceil(n_challenges / 64),)`` bit-packed *predicted*
+        (uint8, zero-padded to whole 64-bit words).
     """
 
     chip_id: str
@@ -351,8 +392,8 @@ class IdentificationCodebook:
 
     @property
     def n_bytes(self) -> int:
-        """Packed bytes per row."""
-        return (self.n_challenges + 7) // 8
+        """Packed bytes per row (whole 64-bit words)."""
+        return padded_bits(self.n_challenges) // 8
 
     def row(self, chip_id: str) -> CodebookRow:
         """The stored row for *chip_id* (KeyError if absent)."""
@@ -619,48 +660,49 @@ class IdentificationCodebook:
     # ------------------------------------------------------------------
     # Matching
     # ------------------------------------------------------------------
-    def match(self, responses: np.ndarray, *, use_lut: bool = False) -> np.ndarray:
-        """Scores of one device's stacked responses against every row.
-
-        *responses* holds the device's answers to
-        :attr:`stacked_challenges`, flat or shaped
-        ``(n_identities, n_challenges)``.  Returns ``(n_identities,)``
-        float64 match fractions in :attr:`ids` order.  Tombstoned rows
-        still get a score here (the matrix is contiguous); winners are
-        excluded at argmax time via :attr:`active_mask`.
-        """
-        return self.match_many(responses, use_lut=use_lut)[0]
-
-    def match_many(
-        self, responses: np.ndarray, *, use_lut: bool = False
+    def read_answers(
+        self,
+        responders: Sequence,
+        conditions: Sequence,
     ) -> np.ndarray:
-        """Batched scoring: ``(n_requests, n_identities)`` match fractions.
+        """Read every device once and pack the batch's answers.
 
-        *responses* is ``(n_requests, n_identities, n_challenges)`` (a
-        single request may drop the leading axis).  All requests share
-        one packbits + XOR + popcount pass -- this is the "one matching
-        pass per epoch" of the batched serving APIs.
+        Each responder answers :attr:`stacked_challenges` under its
+        condition, in order.  Its answer goes into its slot of one
+        zero-padded ``(n_requests, n_identities, padded_bits(n))`` grid
+        and is range-checked right away, so an answer that is not all
+        0/1 raises ``ValueError`` before the next device is read.  One
+        flat pack of the whole grid then gives the word-padded rows
+        :meth:`match_packed` scores.
         """
-        n = len(self._ids)
-        if n == 0:
+        n_rows = len(self._ids)
+        if n_rows == 0:
             raise RuntimeError("codebook is empty; sync it against a database")
-        responses = np.asarray(responses)
-        responses = responses.reshape(-1, n, self.n_challenges)
-        return self.match_packed(pack_responses(responses), use_lut=use_lut)
+        n = self.n_challenges
+        grid = np.zeros(
+            (len(responders), n_rows, padded_bits(n)), dtype=np.uint8
+        )
+        for slot, (responder, condition) in enumerate(
+            zip(responders, conditions)
+        ):
+            answer = np.asarray(
+                responder.xor_response(self._stacked_challenges, condition)
+            )
+            _check_response_bits(answer)
+            grid[slot, :, :n] = answer.reshape(n_rows, n)
+        return _pack_padded(grid)
 
     def match_packed(
         self, packed: np.ndarray, *, use_lut: bool = False
     ) -> np.ndarray:
         """Scores for responses that are *already* bit-packed.
 
-        *packed* is ``(n_requests, n_identities, n_bytes)`` as produced
-        by :func:`pack_responses` on per-identity response rows.  This
-        is the batched serving fast path: packing each transcript at
-        read time keeps the per-item work cache-resident, instead of
-        materializing one unpacked ``(n_requests, n_identities *
-        n_challenges)`` grid that a large batch pushes out to DRAM.
-        Scores are bit-identical to :meth:`match_many` on the unpacked
-        bits.
+        *packed* is ``(n_requests, n_identities, n_bytes)`` word-padded
+        rows as produced by :func:`pack_responses` or
+        :meth:`read_answers`; returns ``(n_requests, n_identities)``
+        float64 match fractions in :attr:`ids` order.  Tombstoned rows
+        still get a score here (the matrix is contiguous); winners are
+        excluded at argmax time via :attr:`active_mask`.
         """
         n = len(self._ids)
         if n == 0:
@@ -744,7 +786,10 @@ class IdentificationCodebook:
         Loaded rows carry their stored fingerprints; the next
         :meth:`sync` against a database validates them and rebuilds
         only rows whose records changed since the save.  Persisted
-        tombstones are re-applied immediately.
+        tombstones are re-applied immediately.  Rows are re-packed from
+        their unpacked bits, so files written with the older
+        ``ceil(n_challenges / 8)``-byte rows load into the word-padded
+        layout.
 
         Raises
         ------
@@ -781,7 +826,7 @@ class IdentificationCodebook:
                 fingerprint=fingerprint,
                 challenges=np.ascontiguousarray(challenges),
                 predicted=predicted.astype(np.int8),
-                packed=np.ascontiguousarray(packed_predicted[index]),
+                packed=pack_responses(predicted),
             )
         book._restack(meta["ids"])
         for chip_id in meta.get("revoked", ()):

@@ -40,7 +40,6 @@ from repro.core.authentication import (
 from repro.core.codebook import (
     CodebookPolicy,
     IdentificationCodebook,
-    pack_responses,
 )
 from repro.core.enrollment import EnrollmentRecord, enroll_chip
 from repro.core.lifecycle import (
@@ -597,8 +596,9 @@ class AuthenticationServer:
         * the **codebook plane** (*use_codebook=True*, or the default
           once a codebook is built and no per-call *seed* is given):
           every identity's block was materialized once at sync time, so
-          the call is one device read plus one XOR + popcount pass over
-          the bit-packed codebook -- no selector runs at all;
+          the call is :meth:`identify_many` on a batch of one -- one
+          device read plus one XOR + popcount pass over the bit-packed
+          codebook, no selector run at all;
         * the **dense plane** (*use_codebook=False*, or automatically
           when a per-call *seed* requests fresh blocks): each
           identity's selector re-derives its block from
@@ -624,23 +624,14 @@ class AuthenticationServer:
         if use_codebook is None:
             use_codebook = seed is None and n_challenges in self._codebooks
         if use_codebook:
-            book = self.codebook(
-                n_challenges,
+            return self.identify_many(
+                [responder],
+                n_challenges=n_challenges,
+                min_match_fraction=min_match_fraction,
+                condition=condition,
                 seed=seed if isinstance(seed, (int, np.integer)) else None,
-            )
-            if not len(book):
-                # Every identity revoked: sync compacted the book to
-                # zero rows.  Same typed refusal as the dense plane,
-                # instead of a raw empty-codebook RuntimeError.
-                raise UnknownChipError("no active identities enrolled")
-            responses = np.asarray(
-                responder.xor_response(book.stacked_challenges, condition)
-            )
-            return self._best_match(
-                book.ids, book.match(responses),
-                min_match_fraction, return_scores,
-                active=book.active_mask,
-            )
+                return_scores=return_scores,
+            )[0]
         ids = self.active_ids
         if not ids:
             raise UnknownChipError("no active identities enrolled")
@@ -668,38 +659,20 @@ class AuthenticationServer:
         match: np.ndarray,
         min_match_fraction: float,
         return_scores: bool,
-        active: Optional[np.ndarray] = None,
     ) -> IdentificationResult:
         """Winner + optional score dict from a sorted-id score vector.
 
         *ids* is ascending, so ``argmax`` (first occurrence wins) is
         exactly the deterministic tie-break: highest score, then
-        lexicographically lowest chip id.  An *active* mask excludes
-        tombstoned (revoked) rows from both the winner search and the
-        reported scores.
+        lexicographically lowest chip id.
         """
-        if active is not None and not active.all():
-            if not active.any():
-                return IdentificationResult(
-                    chip_id=None,
-                    match_fraction=0.0,
-                    scores={} if return_scores else None,
-                )
-            masked = np.where(active, match, -1.0)
-        else:
-            active = None
-            masked = match
-        best = int(np.argmax(masked))
+        best = int(np.argmax(match))
         best_score = float(match[best])
         return IdentificationResult(
             chip_id=ids[best] if best_score >= min_match_fraction else None,
             match_fraction=best_score,
             scores=(
-                {
-                    chip_id: float(value)
-                    for index, (chip_id, value) in enumerate(zip(ids, match))
-                    if active is None or active[index]
-                }
+                {chip_id: float(value) for chip_id, value in zip(ids, match)}
                 if return_scores else None
             ),
         )
@@ -718,11 +691,13 @@ class AuthenticationServer:
         """Batched 1:N identification over the codebook plane.
 
         Every responder answers the same stacked codebook query (one
-        device read each); all answers are then scored in **one**
-        packed XOR + popcount pass against the codebook, so the
-        per-request matching cost is amortized across the batch.
-        Results are identical to calling :meth:`identify` with
-        *use_codebook=True* once per responder.
+        device read each, in order); the answers fill one zero-padded
+        grid that is packed once and scored in **one** XOR + popcount
+        pass over 64-bit words, and one masked argmax picks every
+        winner.  The per-request cost is amortized across the batch;
+        :meth:`identify`'s codebook plane is this method on a batch of
+        one.  An answer that is not all 0/1 raises ``ValueError``
+        before the next device is read.
 
         *conditions* optionally gives each responder its own operating
         condition (the batching front end coalesces requests observed
@@ -741,28 +716,41 @@ class AuthenticationServer:
             raise ValueError(
                 f"{len(responders)} responders but {len(conditions)} conditions"
             )
-        # Pack each transcript as it is read: per-item packing works on
-        # a cache-resident row block, and the stacked batch grid is the
-        # 8x smaller packed form (large unpacked grids spill to DRAM
-        # and dominate the pass).
-        n_rows = len(book)
-        packed = np.stack(
-            [
-                pack_responses(
-                    np.asarray(
-                        r.xor_response(book.stacked_challenges, cond)
-                    ).reshape(n_rows, n_challenges)
-                )
-                for r, cond in zip(responders, conditions)
-            ]
-        )
-        scores = book.match_packed(packed)
+        ids = book.ids
         active = book.active_mask
+        scores = book.match_packed(book.read_answers(responders, conditions))
+        if return_scores:
+            # Reported scores skip tombstoned rows; ``{}`` once every
+            # identity is revoked.
+            kept = np.flatnonzero(active)
+            kept_ids = [ids[row] for row in kept.tolist()]
+            score_dicts = [
+                dict(zip(kept_ids, row)) for row in scores[:, kept].tolist()
+            ]
+        else:
+            score_dicts = [None] * len(responders)
+        if not active.any():
+            return [
+                IdentificationResult(
+                    chip_id=None, match_fraction=0.0, scores=row_scores
+                )
+                for row_scores in score_dicts
+            ]
+        # One first-occurrence argmax over the (batch, rows) matrix:
+        # ids are sorted, so ties go to the lowest chip id.  Tombstoned
+        # rows are masked only when one exists.
+        masked = scores if active.all() else np.where(active, scores, -1.0)
+        best = masked.argmax(axis=1)
+        best_scores = scores[np.arange(len(best)), best]
         return [
-            self._best_match(
-                book.ids, row, min_match_fraction, return_scores, active=active
+            IdentificationResult(
+                chip_id=ids[row] if score >= min_match_fraction else None,
+                match_fraction=score,
+                scores=row_scores,
             )
-            for row in scores
+            for row, score, row_scores in zip(
+                best.tolist(), best_scores.tolist(), score_dicts
+            )
         ]
 
 

@@ -41,7 +41,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.authentication import NOMINAL_CONDITION, OperatingCondition
-from repro.core.codebook import pack_responses
 from repro.core.server import AuthenticationServer, UnknownChipError
 from repro.faults import FaultPlan
 from repro.service.fleet.config import FleetConfig
@@ -502,19 +501,7 @@ class ShardDispatcher:
                     f"{len(conditions)} conditions"
                 )
             self.refresh()
-            book = self._book
-            stacked = book.stacked_challenges
-            responses = np.stack(
-                [
-                    np.asarray(r.xor_response(stacked, cond))
-                    for r, cond in zip(responders, conditions)
-                ]
-            )
-            packed = pack_responses(
-                responses.reshape(
-                    len(responders), len(self._ids), book.n_challenges
-                )
-            )
+            packed = self._book.read_answers(responders, conditions)
             payloads, uncovered = self._dispatch(packed, return_scores)
             return self._merge(
                 payloads, uncovered, len(responders), threshold,

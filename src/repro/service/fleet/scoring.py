@@ -4,8 +4,9 @@ Worker processes and the dispatcher's inline mode call exactly these
 functions, so the bit-identity guarantee ("sharded == single-process")
 is a property of *one* code path, verified once.
 
-The math mirrors :meth:`IdentificationCodebook.match_many` +
-:meth:`AuthenticationServer._best_match` exactly:
+The math mirrors :meth:`AuthenticationServer.identify_many`'s pass
+(:meth:`IdentificationCodebook.match_packed` + the masked argmax)
+exactly:
 
 * distances are integer Hamming counts from the same packed XOR +
   popcount kernel dispatch (:func:`repro.core.codebook._packed_distances`
@@ -44,7 +45,7 @@ def shard_distances(
     *packed_queries* is the ``(n_queries, n_rows, n_bytes)`` slice of
     the batch's packed responses covering this shard's rows;
     *packed_rows* is the shard's ``(n_rows, n_bytes)`` packed matrix.
-    Same kernel dispatch as the single-process ``match_many`` pass, so
+    Same kernel dispatch as the single-process ``match_packed`` pass, so
     the integers are identical on any backend.
     """
     queries = np.asarray(packed_queries, dtype=np.uint8)

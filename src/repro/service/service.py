@@ -204,6 +204,15 @@ def _condition_label(condition: OperatingCondition) -> str:
     return str(condition)
 
 
+@functools.lru_cache(maxsize=1024)
+def _identify_detail(match_fraction: float, n_active: int, coverage: float) -> str:
+    """An identification event's detail, shared by equal events."""
+    detail = f"best match {match_fraction:.4f} across {n_active} identities"
+    if coverage < 1.0:
+        detail += f" (degraded: coverage {coverage:.3f})"
+    return detail
+
+
 class _ChipState:
     """Per-identity serving state (breaker, limiter, drift, budget)."""
 
@@ -619,7 +628,10 @@ class AuthenticationService:
         shards are down.
         """
         start = self._clock()
-        seed = self._seed if isinstance(self._seed, int) else None
+        seed = (
+            int(self._seed) if isinstance(self._seed, (int, np.integer))
+            else None
+        )
         conditions = self._per_item(
             "conditions", len(responders), conditions, condition
         )
@@ -654,25 +666,29 @@ class AuthenticationService:
                 seed=seed,
                 return_scores=return_scores,
             )
-        for result, item_condition in zip(results, conditions):
-            request = self._requests
-            self._requests += 1
-            matched = result.chip_id is not None
-            coverage = getattr(result, "coverage", 1.0)
-            detail = (
-                f"best match {result.match_fraction:.4f} across "
-                f"{len(self._server.active_ids)} identities"
-            )
-            if coverage < 1.0:
-                detail += f" (degraded: coverage {coverage:.3f})"
-            self._emit(
-                request, result.chip_id,
-                AuthOutcome.IDENTIFIED if matched else AuthOutcome.UNIDENTIFIED,
-                start=start,
-                n_challenges=self.config.n_challenges,
-                detail=detail,
-                condition=_condition_label(item_condition),
-            )
+        # One audit tail per batch: the active count, the latency and
+        # the lock are taken once.  A retained event is the log's cost
+        # per request, so events share their latency float and a cached
+        # detail string.
+        n_active = len(self._server.active_ids)
+        latency = self._clock() - start
+        with self._audit_lock:
+            for result, item_condition in zip(results, conditions):
+                request = self._requests
+                self._requests += 1
+                self.audit.append(self._event(
+                    request, result.chip_id,
+                    AuthOutcome.IDENTIFIED if result.chip_id is not None
+                    else AuthOutcome.UNIDENTIFIED,
+                    latency=latency,
+                    n_challenges=self.config.n_challenges,
+                    detail=_identify_detail(
+                        result.match_fraction,
+                        n_active,
+                        getattr(result, "coverage", 1.0),
+                    ),
+                    condition=_condition_label(item_condition),
+                ))
         return results
 
     def record_shed(
@@ -914,6 +930,21 @@ class AuthenticationService:
         outcome: AuthOutcome,
         *,
         start: float,
+        **fields,
+    ) -> AuthEvent:
+        with self._audit_lock:
+            return self.audit.append(self._event(
+                request, chip_id, outcome,
+                latency=self._clock() - start, **fields,
+            ))
+
+    def _event(
+        self,
+        request: int,
+        chip_id: Optional[str],
+        outcome: AuthOutcome,
+        *,
+        latency: float,
         rung: int = 0,
         attempt: int = 0,
         state: Optional[_ChipState] = None,
@@ -924,25 +955,25 @@ class AuthenticationService:
         challenges_spent: int = 0,
         condition: str = "",
     ) -> AuthEvent:
-        with self._audit_lock:
-            return self.audit.append(AuthEvent(
-                seq=len(self.audit),
-                request=request,
-                chip_id=chip_id,
-                outcome=outcome,
-                rung=rung,
-                attempt=attempt,
-                n_challenges=n_challenges,
-                n_mismatches=n_mismatches,
-                challenges_spent=challenges_spent,
-                condition=condition,
-                budget_remaining=(
-                    state.budget.remaining if state is not None else None
-                ),
-                breaker_state=(
-                    state.breaker.state.value if state is not None else ""
-                ),
-                latency=self._clock() - start,
-                detail=detail,
-                digests=digests,
-            ))
+        """The next decision event; the caller holds ``_audit_lock``."""
+        return AuthEvent(
+            seq=len(self.audit),
+            request=request,
+            chip_id=chip_id,
+            outcome=outcome,
+            rung=rung,
+            attempt=attempt,
+            n_challenges=n_challenges,
+            n_mismatches=n_mismatches,
+            challenges_spent=challenges_spent,
+            condition=condition,
+            budget_remaining=(
+                state.budget.remaining if state is not None else None
+            ),
+            breaker_state=(
+                state.breaker.state.value if state is not None else ""
+            ),
+            latency=latency,
+            detail=detail,
+            digests=digests,
+        )

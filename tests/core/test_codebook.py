@@ -213,7 +213,7 @@ class TestEpochInvalidation:
     def test_unsynced_codebook_raises(self):
         book = IdentificationCodebook(64)
         with pytest.raises(RuntimeError, match="empty"):
-            book.match(np.zeros(64, dtype=np.int8))
+            book.match_packed(np.zeros((1, 0, 8), dtype=np.uint8))
         with pytest.raises(RuntimeError, match="empty"):
             _ = book.stacked_challenges
 
@@ -241,7 +241,8 @@ class TestPersistence:
         assert (loaded.stacked_challenges == book.stacked_challenges).all()
         assert (loaded.packed_matrix == book.packed_matrix).all()
         responses = np.asarray(lot[0].xor_response(loaded.stacked_challenges))
-        assert (loaded.match(responses) == book.match(responses)).all()
+        packed = pack_responses(responses.reshape(1, len(book), 64))
+        assert (loaded.match_packed(packed) == book.match_packed(packed)).all()
 
     def test_database_roundtrip_carries_codebook(self, lot_and_server, tmp_path):
         lot, server = lot_and_server

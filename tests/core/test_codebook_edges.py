@@ -65,10 +65,12 @@ class TestEmptyPopulation:
         with pytest.raises(UnknownChipError):
             empty.identify_many([])
 
-    def test_match_many_names_the_remedy(self):
+    def test_unsynced_book_names_the_remedy(self):
         book = IdentificationCodebook(64, seed=5)
         with pytest.raises(RuntimeError, match="sync it against a database"):
-            book.match_many(np.zeros((2, 0), dtype=np.int8))
+            book.read_answers([], [])
+        with pytest.raises(RuntimeError, match="sync it against a database"):
+            book.match_packed(np.zeros((2, 0, 8), dtype=np.uint8))
 
 
 class TestAllRevoked:

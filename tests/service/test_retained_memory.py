@@ -23,10 +23,11 @@ pytestmark = [pytest.mark.service]
 #: decision event with 64 row digests (~4.7 KB of strings and tuple)
 #: plus 8 bytes per issued key: ~5.5 KB here, against ~12.1 KB while the
 #: issued record was a set of hex strings.  An identification keeps one
-#: slotted event: ~335 B, against ~450 B with a per-instance event dict
-#: and a fresh condition string per event.
+#: slotted event that shares its batch's latency float and a cached
+#: detail string: ~210 B, against ~320 B with a fresh detail and latency
+#: per event and ~450 B with a per-instance event dict.
 AUTH_RETAINED_BYTES = 7_000
-IDENTIFY_RETAINED_BYTES = 380
+IDENTIFY_RETAINED_BYTES = 260
 
 
 @pytest.fixture(scope="module")

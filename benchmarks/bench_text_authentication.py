@@ -6,9 +6,10 @@ predicted responses match perfectly (i.e., zero Hamming distance)" --
 across supply/temperature corners, with one-shot response sampling.
 
 This bench measures false-reject and false-accept rates of the whole
-protocol: honest chips at all 9 corners, impostor chips, and a
-random-challenge control showing why selection is necessary for the
-zero-HD policy.
+protocol, served by the authentication service: honest chips at all 9
+corners, impostor chips, and a random-challenge control showing why
+selection is necessary for the zero-HD policy.  Honest sessions must
+all be served at ladder rung 0, the paper's one-shot protocol.
 """
 
 
@@ -50,6 +51,11 @@ def _report(run):
             "random-challenge rejects", "high (why selection exists)",
             f"{result['random_challenge_reject_rate']:.1%}",
         ),
+        format_row(
+            "highest honest rung", "0 (one-shot)",
+            str(result["honest_max_rung"]),
+            f"(impostor rungs {result['impostor_rungs']})",
+        ),
     ]
 
 
@@ -59,3 +65,4 @@ def test_zero_hd_authentication(capsys):
     assert result["false_reject_rate"] == 0.0
     assert result["false_accept_rate"] == 0.0
     assert result["random_challenge_reject_rate"] > 0.5
+    assert result["honest_max_rung"] == 0

@@ -23,6 +23,7 @@ from repro.attacks.features import attack_matrices
 from repro.core.adjustment import conservative_betas
 from repro.core.server import AuthenticationServer, ModelResponder
 from repro.crp.challenges import random_challenges
+from repro.service import PROTOCOL_STUDY_CONFIG, AuthenticationService
 from repro.silicon.chip import fabricate_lot
 from repro.silicon.environment import paper_corner_grid
 
@@ -64,13 +65,11 @@ def main() -> None:
         server.register(record.with_betas(fleet_betas))
 
     print("\nhonest sessions (each chip, random corner, 64-bit zero-HD):")
+    service = AuthenticationService(server, PROTOCOL_STUDY_CONFIG, seed=60)
     corners = paper_corner_grid()
     approved = 0
     for i, chip in enumerate(lot):
-        result = server.authenticate(
-            chip, n_challenges=64, condition=corners[i % 9], seed=60 + i
-        )
-        approved += result.approved
+        approved += service.authenticate(chip, condition=corners[i % 9]).approved
     print(f"  {approved}/{N_CHIPS} approved (false-reject rate "
           f"{1 - approved / N_CHIPS:.1%})")
 
@@ -82,9 +81,7 @@ def main() -> None:
             if device.chip_id == claimed.chip_id:
                 continue
             attempts += 1
-            result = server.authenticate(
-                device, claimed_id=claimed.chip_id, n_challenges=64, seed=70
-            )
+            result = service.authenticate(device, claimed_id=claimed.chip_id)
             false_accepts += result.approved
     print(f"  {false_accepts}/{attempts} false accepts")
 
@@ -106,9 +103,7 @@ def main() -> None:
     attack = MlpClassifier(seed=81, max_iter=300).fit(train_x, train_y)
     accuracy = attack.score(test_x, test_y)
     clone = ModelResponder(attack, chip_id=target.chip_id)
-    sessions = [
-        server.authenticate(clone, n_challenges=64, seed=90 + s) for s in range(10)
-    ]
+    sessions = [service.authenticate(clone) for _ in range(10)]
     wins = sum(r.approved for r in sessions)
     print(f"  clone model accuracy {accuracy:.1%}; "
           f"passes {wins}/10 zero-HD sessions")

@@ -25,6 +25,7 @@ from repro import (
 from repro.attacks import MlpClassifier, collect_stable_xor_crps
 from repro.attacks.features import attack_matrices
 from repro.core.server import ModelResponder
+from repro.service import PROTOCOL_STUDY_CONFIG, AuthenticationService
 
 
 def main() -> None:
@@ -50,23 +51,23 @@ def main() -> None:
         print(f"  PUF #{index}: adjusted thresholds {pair}")
 
     # ------------------------------------------------------------------
-    # 3. Authenticate: model-selected challenges, zero-HD criterion.
+    # 3. Authenticate: 64 never-issued model-selected challenges per
+    #    session, zero-HD criterion.
     # ------------------------------------------------------------------
-    result = server.authenticate(chip, n_challenges=64, seed=9)
-    print(f"honest chip at nominal:      {result}")
+    service = AuthenticationService(server, PROTOCOL_STUDY_CONFIG, seed=9)
+    result = service.authenticate(chip)
+    print(f"honest chip at nominal:      {result.auth}")
 
     corner = OperatingCondition(voltage=0.8, temperature=60.0)
-    result = server.authenticate(chip, n_challenges=64, condition=corner, seed=10)
-    print(f"honest chip at {corner}: {result}")
+    result = service.authenticate(chip, condition=corner)
+    print(f"honest chip at {corner}: {result.auth}")
 
     # ------------------------------------------------------------------
     # 4a. An impostor chip presenting the demo chip's identity.
     # ------------------------------------------------------------------
     impostor = PufChip.create(n_pufs=4, n_stages=32, seed=99, chip_id="impostor")
-    result = server.authenticate(
-        impostor, claimed_id="demo-chip", n_challenges=64, seed=11
-    )
-    print(f"impostor chip:               {result}")
+    result = service.authenticate(impostor, claimed_id="demo-chip")
+    print(f"impostor chip:               {result.auth}")
 
     # ------------------------------------------------------------------
     # 4b. A software clone trained on harvested stable CRPs.
@@ -79,8 +80,8 @@ def main() -> None:
         f"test accuracy {attack.score(test_x, test_y):.1%}"
     )
     clone = ModelResponder(attack, chip_id="demo-chip")
-    result = server.authenticate(clone, n_challenges=64, seed=14)
-    print(f"software clone (n=4 is too narrow -- see Fig. 4): {result}")
+    result = service.authenticate(clone)
+    print(f"software clone (n=4 is too narrow -- see Fig. 4): {result.auth}")
     print(
         "=> with only 4 XOR-ed PUFs the clone models the chip; the paper's\n"
         "   conclusion is to use n >= 10, where the same attack fails\n"

@@ -23,11 +23,13 @@ The package provides:
 Quickstart::
 
     from repro import PufChip, enroll_chip, AuthenticationServer
+    from repro.service import AuthenticationService
 
     chip = PufChip.create(n_pufs=4, n_stages=32, seed=1)
     record = enroll_chip(chip, n_enroll_challenges=3000, seed=2)
     server = AuthenticationServer({chip.chip_id: record})
-    result = server.authenticate(chip, n_challenges=64, seed=3)
+    service = AuthenticationService(server, seed=3)
+    result = service.authenticate(chip)  # 64 never-issued challenges
     assert result.approved
 """
 

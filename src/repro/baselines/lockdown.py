@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.core.authentication import AuthResult
+from repro.core.authentication import AuthResult, score_responses
 from repro.core.selection import ChallengeSelector
 from repro.crp.challenges import ChallengeStream
 from repro.silicon.chip import PufChip
@@ -141,12 +141,8 @@ def lockdown_authenticate(
             tolerance=0,
             condition=condition,
         )
-    n_mismatches = int((responses[informative] != predicted[informative]).sum())
-    tolerance = int(np.floor(max_hd_fraction * n_scored))
-    return AuthResult(
-        approved=n_mismatches <= tolerance,
-        n_challenges=n_scored,
-        n_mismatches=n_mismatches,
-        tolerance=tolerance,
+    return score_responses(
+        responses[informative], predicted[informative],
+        tolerance=int(np.floor(max_hd_fraction * n_scored)),
         condition=condition,
     )

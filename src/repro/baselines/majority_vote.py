@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.authentication import AuthResult
+from repro.core.authentication import AuthResult, score_responses
 from repro.crp.challenges import random_challenges
 from repro.crp.dataset import CrpDataset
 from repro.silicon.chip import PufChip
@@ -146,12 +146,7 @@ def authenticate_majority_vote(
         chip.oracle(), subset.challenges, n_votes, condition,
         derive_generator(seed, "votes"),
     )
-    n_mismatches = int((responses != subset.responses).sum())
     tolerance = int(np.floor(max_hd_fraction * n_challenges))
-    return AuthResult(
-        approved=n_mismatches <= tolerance,
-        n_challenges=n_challenges,
-        n_mismatches=n_mismatches,
-        tolerance=tolerance,
-        condition=condition,
+    return score_responses(
+        responses, subset.responses, tolerance=tolerance, condition=condition
     )

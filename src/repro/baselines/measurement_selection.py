@@ -24,7 +24,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.authentication import AuthResult, Responder, ZERO_HAMMING_DISTANCE
+from repro.core.authentication import (
+    AuthResult,
+    Responder,
+    ZERO_HAMMING_DISTANCE,
+    score_responses,
+)
 from repro.crp.challenges import random_challenges
 from repro.crp.dataset import CrpDataset
 from repro.silicon.chip import PufChip
@@ -142,12 +147,7 @@ def authenticate_from_table(
 ) -> AuthResult:
     """Authenticate against the stored CRP table (ref-[1] protocol)."""
     subset = table.draw(n_challenges, derive_generator(seed, "draw"))
-    responses = np.asarray(responder.xor_response(subset.challenges, condition))
-    n_mismatches = int((responses != subset.responses).sum())
-    return AuthResult(
-        approved=n_mismatches <= tolerance,
-        n_challenges=n_challenges,
-        n_mismatches=n_mismatches,
-        tolerance=tolerance,
-        condition=condition,
+    responses = responder.xor_response(subset.challenges, condition)
+    return score_responses(
+        responses, subset.responses, tolerance=tolerance, condition=condition
     )

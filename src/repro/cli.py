@@ -57,19 +57,21 @@ def _jobs_arg(text: str) -> int:
     return value
 
 
-def _chunk_size_arg(text: str) -> int:
-    """``--chunk-size`` validator: a positive int."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"--chunk-size expects an integer, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"--chunk-size must be >= 1, got {value}"
-        )
-    return value
+def _positive_int_arg(flag: str):
+    """A parse-time validator of *flag*: a positive int."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{flag} expects an integer, got {text!r}"
+            ) from None
+        if value < 1:
+            raise argparse.ArgumentTypeError(f"{flag} must be >= 1, got {value}")
+        return value
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(0 = all cores; results are identical at any value)",
     )
     parser.add_argument(
-        "--chunk-size", type=_chunk_size_arg, default=None,
+        "--chunk-size", type=_positive_int_arg("--chunk-size"), default=None,
         help="challenges per evaluation-engine chunk "
              "(bounds peak memory; default 65536)",
     )
@@ -135,8 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-pufs", type=int, default=4)
     p.add_argument("--n-stages", type=int, default=32)
     p.add_argument("--sessions", type=int, default=10)
-    p.add_argument("--challenges", type=int, default=64)
-    p.add_argument("--max-attempts", type=int, default=1,
+    p.add_argument("--challenges", type=_positive_int_arg("--challenges"), default=64)
+    p.add_argument("--max-attempts", type=_positive_int_arg("--max-attempts"),
+                   default=1,
                    help="device-read attempts per session (fresh "
                         "challenges on every retry)")
     p.add_argument("--corners", action="store_true",
@@ -357,6 +360,10 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 
 
 def _cmd_auth(args: argparse.Namespace) -> int:
+    import dataclasses
+
+    from repro.service import PROTOCOL_STUDY_CONFIG, AuthenticationService
+
     chip = PufChip.create(args.n_pufs, args.n_stages, seed=args.seed, chip_id="cli")
     server = AuthenticationServer()
     server.enroll(
@@ -368,16 +375,19 @@ def _cmd_auth(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         chunk_size=args.chunk_size,
     )
+    config = dataclasses.replace(
+        PROTOCOL_STUDY_CONFIG,
+        n_challenges=args.challenges,
+        max_read_attempts=args.max_attempts,
+    )
+    service = AuthenticationService(server, config, seed=args.seed + 10)
     corners = paper_corner_grid()
     failures = 0
     for session in range(args.sessions):
         condition = corners[session % 9] if args.corners else corners[4]
-        result = server.authenticate(
-            chip, n_challenges=args.challenges,
-            condition=condition, seed=args.seed + 10 + session,
-            max_attempts=args.max_attempts,
-        )
-        print(f"session {session}: {result} "
+        result = service.authenticate(chip, condition=condition)
+        verdict = result.auth or f"{result.outcome.value}: {result.detail}"
+        print(f"session {session}: {verdict} "
               f"[{result.attempts}/{args.max_attempts} attempts]")
         failures += not result.approved
     print(f"{args.sessions - failures}/{args.sessions} sessions approved")

@@ -27,6 +27,7 @@ __all__ = [
     "AuthResult",
     "DeviceReadError",
     "authenticate",
+    "score_responses",
     "ZERO_HAMMING_DISTANCE",
 ]
 
@@ -38,7 +39,7 @@ class DeviceReadError(RuntimeError):
     """A transient device/transport failure during a response read.
 
     Raised by responders whose underlying channel hiccupped (radio
-    dropout, bus timeout, brown-out).  The server treats it as
+    dropout, bus timeout, brown-out).  The service treats it as
     *retriable* -- but each retry must use a **fresh** selected
     challenge set: replaying the same challenges would hand an
     eavesdropper the repeated/partial transcripts that chosen-challenge
@@ -132,7 +133,27 @@ def authenticate(
     if tolerance < 0:
         raise ValueError(f"tolerance must be non-negative, got {tolerance}")
     challenges, predicted = selector.select(n_challenges, seed)
-    responses = np.asarray(responder.xor_response(challenges, condition))
+    responses = responder.xor_response(challenges, condition)
+    return score_responses(
+        responses, predicted, tolerance=tolerance, condition=condition
+    )
+
+
+def score_responses(
+    responses,
+    predicted: np.ndarray,
+    *,
+    tolerance: int,
+    condition: OperatingCondition,
+    attempts: int = 1,
+) -> AuthResult:
+    """The verdict: count the answers that differ from the predictions
+    and approve within *tolerance* mismatches (0 = zero HD).
+
+    Raises :class:`ValueError` when the answers do not have the
+    predictions' shape.
+    """
+    responses = np.asarray(responses)
     if responses.shape != predicted.shape:
         raise ValueError(
             f"responder returned shape {responses.shape}, expected {predicted.shape}"
@@ -140,8 +161,9 @@ def authenticate(
     n_mismatches = int((responses != predicted).sum())
     return AuthResult(
         approved=n_mismatches <= tolerance,
-        n_challenges=n_challenges,
+        n_challenges=len(predicted),
         n_mismatches=n_mismatches,
         tolerance=tolerance,
         condition=condition,
+        attempts=attempts,
     )

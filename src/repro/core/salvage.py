@@ -30,7 +30,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy import stats
 
-from repro.core.authentication import AuthResult
+from repro.core.authentication import AuthResult, score_responses
 from repro.crp.challenges import random_challenges
 from repro.crp.dataset import CrpDataset
 from repro.silicon.chip import PufChip
@@ -170,16 +170,11 @@ def authenticate_salvage(
     for _ in range(n_votes):
         votes += chip.xor_response(subset.challenges, condition)
     responses = (2 * votes >= n_votes).astype(np.int8)
-    n_mismatches = int((responses != subset.responses).sum())
     if tolerance is None:
         p = record.worst_case_flip_probability(n_votes)
         tolerance = int(np.ceil(n_challenges * p + 4.0 * np.sqrt(
             max(n_challenges * p * (1.0 - p), 1e-12)
         )))
-    return AuthResult(
-        approved=n_mismatches <= tolerance,
-        n_challenges=n_challenges,
-        n_mismatches=n_mismatches,
-        tolerance=tolerance,
-        condition=condition,
+    return score_responses(
+        responses, subset.responses, tolerance=tolerance, condition=condition
     )

@@ -3,20 +3,22 @@
 Ties the pieces of :mod:`repro.core` into the deployment objects a
 system integrator would use: an :class:`AuthenticationServer` that
 stores :class:`~repro.core.enrollment.EnrollmentRecord` entries (delay
-parameters + thresholds -- not CRP tables) and runs Fig.-7 sessions,
-and a :class:`ModelResponder` adapter that lets an attacker's learned
-model masquerade as a device, for security evaluations.
+parameters + thresholds -- not CRP tables), hands out their challenge
+selectors and identifies devices, and a :class:`ModelResponder` adapter
+that lets an attacker's learned model masquerade as a device, for
+security evaluations.
 
 The database is *alive*: registrations, re-tightenings and revocations
 arrive while identifications are being served.  Every mutation bumps a
 monotone epoch **and** is journaled per chip id, so the identification
 codebooks resync incrementally -- a wave of mutations costs work
 proportional to the wave, not to the fleet
-(:meth:`AuthenticationServer.dirty_since`).  Revocation is terminal and
-enforced here, at the protocol layer: revoked identities cannot
-re-register, cannot authenticate, and are tombstoned out of every
+(:meth:`AuthenticationServer.dirty_since`).  Revocation is terminal:
+revoked identities cannot re-register and are tombstoned out of every
 codebook the moment :meth:`AuthenticationServer.revoke` returns (see
-:mod:`repro.core.lifecycle`).
+:mod:`repro.core.lifecycle`); the serving layer
+(:class:`~repro.service.AuthenticationService`, the one Fig.-7
+authenticator) refuses their claims before issuing a challenge.
 """
 
 from __future__ import annotations
@@ -24,19 +26,12 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import json
-import time
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.core.adjustment import BetaFactors
-from repro.core.authentication import (
-    AuthResult,
-    DeviceReadError,
-    Responder,
-    ZERO_HAMMING_DISTANCE,
-    authenticate,
-)
+from repro.core.authentication import Responder
 from repro.core.codebook import (
     CodebookPolicy,
     IdentificationCodebook,
@@ -76,11 +71,11 @@ _LIFECYCLE_FILE = "_lifecycle.json"
 
 
 class UnknownChipError(KeyError):
-    """Raised for authentication attempts against an unenrolled identity."""
+    """Raised for lookups of an unenrolled identity."""
 
 
 class AuthenticationServer:
-    """Server-side database and protocol driver.
+    """Server-side enrollment database, selectors and identification.
 
     Parameters
     ----------
@@ -283,11 +278,6 @@ class AuthenticationServer:
         if chip_id in self._revocations:
             return LifecycleState.REVOKED
         return LifecycleState.ACTIVE
-
-    def _refuse_revoked(self, chip_id: str, operation: str) -> None:
-        revocation = self._revocations.get(chip_id)
-        if revocation is not None:
-            raise RevokedChipError(revocation, operation)
 
     # ------------------------------------------------------------------
     # Cached artefacts
@@ -496,81 +486,8 @@ class AuthenticationServer:
         return server
 
     # ------------------------------------------------------------------
-    # Protocol
+    # Identification
     # ------------------------------------------------------------------
-    def authenticate(
-        self,
-        responder: Responder,
-        *,
-        claimed_id: Optional[str] = None,
-        n_challenges: int = 64,
-        tolerance: int = ZERO_HAMMING_DISTANCE,
-        condition: OperatingCondition = NOMINAL_CONDITION,
-        seed: SeedLike = None,
-        max_attempts: int = 1,
-        retry_delay: float = 0.0,
-    ) -> AuthResult:
-        """Authenticate *responder* against a claimed identity.
-
-        ``claimed_id`` defaults to the responder's own ``chip_id``
-        attribute (the honest case); pass a different id to model an
-        impostor presenting someone else's identity.  A claim against a
-        revoked identity raises
-        :class:`~repro.core.lifecycle.RevokedChipError` before any
-        challenge is issued -- revoked chips get no transcript material
-        at all.
-
-        Transient device failures
-        -------------------------
-        When *max_attempts* is above 1, a session aborted by a
-        :class:`~repro.core.authentication.DeviceReadError` is retried
-        with a **fresh** selected challenge set (each attempt derives an
-        independent selection stream).  The same challenges are never
-        re-sent: repeated or partial transcripts are exactly what
-        chosen-challenge attacks harvest, so transcripts stay one-shot
-        per the zero-HD protocol.  Attempts are bounded; the last
-        failure propagates.  *retry_delay* seconds (doubling per
-        attempt) separate retries.
-        """
-        if claimed_id is None:
-            claimed_id = getattr(responder, "chip_id", None)
-            if claimed_id is None:
-                raise ValueError(
-                    "responder has no chip_id attribute; pass claimed_id explicitly"
-                )
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-        self._refuse_revoked(claimed_id, "authentication")
-        selector = self.selector(claimed_id)
-        for attempt in range(max_attempts):
-            # Attempt 0 keeps the historical seed derivation so existing
-            # experiments reproduce bit-for-bit; later attempts extend
-            # the key path, giving an independent (never replayed)
-            # challenge draw.
-            if attempt == 0:
-                session_seed = derive_generator(seed, "auth", claimed_id)
-            else:
-                session_seed = derive_generator(
-                    seed, "auth", claimed_id, "retry", attempt
-                )
-            try:
-                result = authenticate(
-                    responder,
-                    selector,
-                    n_challenges,
-                    tolerance=tolerance,
-                    condition=condition,
-                    seed=session_seed,
-                )
-            except DeviceReadError:
-                if attempt + 1 >= max_attempts:
-                    raise
-                if retry_delay > 0:
-                    time.sleep(retry_delay * 2**attempt)
-                continue
-            return dataclasses.replace(result, attempts=attempt + 1)
-        raise AssertionError("unreachable")  # pragma: no cover
-
     def identify(
         self,
         responder: Responder,

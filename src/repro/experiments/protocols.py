@@ -7,6 +7,7 @@ Sec.-2.2 salvage trade-off).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Dict, Sequence
 
 import numpy as np
@@ -20,14 +21,15 @@ from repro.baselines.measurement_selection import (
     enroll_measured_table,
 )
 from repro.baselines.noise_bifurcation import run_noise_bifurcation_session
-from repro.core.authentication import authenticate
+from repro.core.authentication import authenticate, score_responses
 from repro.core.enrollment import enroll_chip
 from repro.core.salvage import authenticate_salvage, enroll_salvage
 from repro.core.server import AuthenticationServer
 from repro.crp.challenges import random_challenges
+from repro.service import PROTOCOL_STUDY_CONFIG, AuthenticationService
 from repro.silicon.aging import AgingModel, age_chip
 from repro.silicon.chip import PufChip, fabricate_lot
-from repro.silicon.environment import paper_corner_grid
+from repro.silicon.environment import NOMINAL_CONDITION, paper_corner_grid
 from repro.silicon.noise import PAPER_N_TRIALS
 
 from repro.experiments.stability import N_STAGES
@@ -51,9 +53,11 @@ def run_zero_hd_authentication(
 ) -> Dict[str, Any]:
     """T-text-3: error rates of the zero-HD protocol across corners.
 
-    Enrolls a 3-chip lot with corner validation, then runs honest
+    Enrolls a 3-chip lot with corner validation, then serves honest
     sessions rotating through the 9 corners, impostor sessions, and a
-    random-challenge control.  Returns the three rates.
+    random-challenge control.  Returns the three rates, the highest
+    ladder rung that served an honest session (0 = the paper's one-shot
+    protocol) and the rungs that served impostor sessions.
     """
     lot = fabricate_lot(3, n_pufs, N_STAGES, seed=seed)
     server = AuthenticationServer()
@@ -63,26 +67,25 @@ def run_zero_hd_authentication(
             n_enroll_challenges=5000, n_validation_challenges=20_000,
             validation_conditions=paper_corner_grid(),
         )
-    false_rejects = 0
-    for session in range(n_sessions):
-        chip = lot[session % len(lot)]
-        condition = paper_corner_grid()[session % 9]
-        result = server.authenticate(
-            chip, n_challenges=n_challenges, condition=condition,
-            seed=seed + 1000 + session,
+    service = AuthenticationService(
+        server,
+        dataclasses.replace(PROTOCOL_STUDY_CONFIG, n_challenges=n_challenges),
+        seed=seed + 1000,
+    )
+    honest = [
+        service.authenticate(
+            lot[session % len(lot)], condition=paper_corner_grid()[session % 9]
         )
-        false_rejects += not result.approved
-
-    false_accepts = 0
+        for session in range(n_sessions)
+    ]
     impostors = fabricate_lot(2, n_pufs, N_STAGES, seed=seed + 777)
-    for session in range(n_sessions):
-        impostor = impostors[session % len(impostors)]
-        claimed = lot[session % len(lot)].chip_id
-        result = server.authenticate(
-            impostor, claimed_id=claimed, n_challenges=n_challenges,
-            seed=seed + 2000 + session,
+    impostor = [
+        service.authenticate(
+            impostors[session % len(impostors)],
+            claimed_id=lot[session % len(lot)].chip_id,
         )
-        false_accepts += result.approved
+        for session in range(n_sessions)
+    ]
 
     chip = lot[0]
     record = server.record(chip.chip_id)
@@ -92,14 +95,18 @@ def run_zero_hd_authentication(
             n_challenges, N_STAGES, seed=seed + 3000 + session
         )
         predicted = record.xor_model.predict_xor_response(challenges)
-        responses = chip.xor_response(challenges)
-        control_rejects += bool((responses != predicted).any())
+        control_rejects += not score_responses(
+            chip.xor_response(challenges), predicted,
+            tolerance=0, condition=NOMINAL_CONDITION,
+        ).approved
     return {
         "n_sessions": n_sessions,
         "n_challenges": n_challenges,
-        "false_reject_rate": false_rejects / n_sessions,
-        "false_accept_rate": false_accepts / n_sessions,
+        "false_reject_rate": sum(not r.approved for r in honest) / n_sessions,
+        "false_accept_rate": sum(r.approved for r in impostor) / n_sessions,
         "random_challenge_reject_rate": control_rejects / n_sessions,
+        "honest_max_rung": max(r.rung for r in honest),
+        "impostor_rungs": sorted({r.rung for r in impostor}),
     }
 
 

@@ -52,7 +52,12 @@ from repro.service.lifecycle import (
     run_lifecycle_sim,
 )
 from repro.service.resilience import BreakerState, CircuitBreaker, RateLimiter
-from repro.service.service import AuthenticationService, ServiceConfig, ServiceResult
+from repro.service.service import (
+    PROTOCOL_STUDY_CONFIG,
+    AuthenticationService,
+    ServiceConfig,
+    ServiceResult,
+)
 from repro.service.simulation import (
     SimReport,
     VirtualClock,
@@ -80,6 +85,7 @@ __all__ = [
     "LifecycleReport",
     "MAX_RUNG",
     "OverloadError",
+    "PROTOCOL_STUDY_CONFIG",
     "PoolExhaustedError",
     "RateLimiter",
     "ShardDispatcher",

@@ -29,7 +29,9 @@ class AuthOutcome(str, enum.Enum):
 
     Decision outcomes (one per authentication request):
 
-    * ``APPROVED`` / ``REJECTED`` -- a session completed and was scored.
+    * ``APPROVED`` / ``REJECTED`` -- a session completed and was scored
+      (an answer of the wrong shape is ``REJECTED`` without a mismatch
+      count).
     * ``DEVICE_ERROR`` -- every bounded read attempt failed.
     * ``BREAKER_OPEN`` -- fast-fail: the chip's circuit breaker is open.
     * ``RATE_LIMITED`` -- fast-fail: throttle window or reject lockout.

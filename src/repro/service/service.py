@@ -1,10 +1,13 @@
 """The resilient authentication front end (:class:`AuthenticationService`).
 
-:class:`~repro.core.server.AuthenticationServer` is the protocol
-engine: given a responder it runs one Fig.-7 session and returns the
-verdict.  This module wraps it in the machinery a serving deployment
-needs when the responders are flaky radios in drifting environments and
-some of the "responders" are adversaries:
+The service is the one Fig.-7 authenticator.  It draws each session's
+challenges from the selectors of an
+:class:`~repro.core.server.AuthenticationServer` (the enrollment
+database) and scores the answers with
+:func:`~repro.core.authentication.score_responses`, inside the
+machinery a serving deployment needs when the responders are flaky
+radios in drifting environments and some of the "responders" are
+adversaries:
 
 * every authentication is a **supervised request** with a deadline and
   bounded device-read retries (each retry issues a *fresh* challenge
@@ -41,7 +44,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.baselines.majority_vote import majority_vote_responses
-from repro.core.authentication import AuthResult, DeviceReadError, Responder
+from repro.core.authentication import (
+    AuthResult,
+    DeviceReadError,
+    Responder,
+    score_responses,
+)
 from repro.core.enrollment import EnrollmentRecord
 from repro.core.lifecycle import RevocationRecord, RevokedChipError
 from repro.core.selection import ChallengeSelector
@@ -60,7 +68,12 @@ from repro.silicon.environment import NOMINAL_CONDITION, OperatingCondition
 from repro.utils.rng import SeedLike, derive_generator
 from repro.utils.validation import check_positive_int
 
-__all__ = ["AuthenticationService", "ServiceConfig", "ServiceResult"]
+__all__ = [
+    "AuthenticationService",
+    "PROTOCOL_STUDY_CONFIG",
+    "ServiceConfig",
+    "ServiceResult",
+]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,6 +149,12 @@ class ServiceConfig:
             )
 
 
+#: Throttling and lockout off: protocol studies (the CLI ``auth``
+#: command, T-text-3, the examples) measure the protocol, not the
+#: rate limiter.
+PROTOCOL_STUDY_CONFIG = ServiceConfig(max_requests_per_window=0, lockout_threshold=0)
+
+
 @dataclasses.dataclass(frozen=True)
 class ServiceResult:
     """Outcome of one supervised authentication request.
@@ -157,7 +176,8 @@ class ServiceResult:
     latency:
         Seconds from admission to decision (service clock).
     auth:
-        The scored :class:`AuthResult` when a session completed.
+        The scored :class:`AuthResult` when a session completed with a
+        well-formed answer.
     detail:
         Human-readable context for non-scored outcomes.
     """
@@ -362,12 +382,11 @@ class AuthenticationService:
     ) -> ServiceResult:
         """Run one supervised authentication request.
 
-        Unlike the raw server -- which raises on unknown identities and
-        propagates device failures -- the service always renders a
-        decision: every admission failure, fast-fail and retry
-        exhaustion comes back as a :class:`ServiceResult` with the
-        matching :class:`AuthOutcome` (and an audit trail).  The single
-        exception is pool exhaustion, which raises the typed
+        The service always renders a decision: every admission
+        failure, fast-fail, retry exhaustion and malformed answer comes
+        back as a :class:`ServiceResult` with the matching
+        :class:`AuthOutcome` (and an audit trail).  The single exception
+        is pool exhaustion, which raises the typed
         :class:`PoolExhaustedError` after logging: an operator must
         intervene, the service will never replay a challenge.
         """
@@ -508,34 +527,32 @@ class AuthenticationService:
                 )
             break  # a completed read; every other path returned above
 
-        responses = np.asarray(responses)
-        if responses.shape != predicted.shape:
-            raise ValueError(
-                f"responder returned shape {responses.shape}, "
-                f"expected {predicted.shape}"
-            )
         attempts = attempt + 1
-        n_mismatches = int((responses != predicted).sum())
-        approved = n_mismatches <= self.config.tolerance
+        auth: Optional[AuthResult] = None
+        detail = ""
+        try:
+            auth = score_responses(
+                responses, predicted, tolerance=self.config.tolerance,
+                condition=condition, attempts=attempts,
+            )
+        except ValueError as exc:
+            # A malformed answer is rejected and audited like any other
+            # wrong answer, so a device that keeps sending garbage
+            # meets the lockout.
+            detail = str(exc)
+        approved = auth is not None and auth.approved
         self._observe_decision(request, claimed_id, state, rung, approved, start)
         decision = AuthOutcome.APPROVED if approved else AuthOutcome.REJECTED
         self._emit(request, claimed_id, decision, start=start, rung=rung,
                    attempt=attempts, state=state, digests=digests,
-                   n_challenges=len(challenges), n_mismatches=n_mismatches,
-                   challenges_spent=len(challenges),
+                   n_challenges=len(challenges),
+                   n_mismatches=None if auth is None else auth.n_mismatches,
+                   challenges_spent=len(challenges), detail=detail,
                    condition=_condition_label(condition))
         return ServiceResult(
             request=request, chip_id=claimed_id, outcome=decision, rung=rung,
             attempts=attempts, challenges_spent=spent,
-            latency=self._clock() - start,
-            auth=AuthResult(
-                approved=approved,
-                n_challenges=len(challenges),
-                n_mismatches=n_mismatches,
-                tolerance=self.config.tolerance,
-                condition=condition,
-                attempts=attempts,
-            ),
+            latency=self._clock() - start, auth=auth, detail=detail,
         )
 
     def _per_item(

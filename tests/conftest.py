@@ -8,6 +8,7 @@ fixture.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import signal
 
@@ -16,6 +17,7 @@ import pytest
 
 from repro.core.enrollment import EnrollmentRecord, enroll_chip
 from repro.crp.challenges import random_challenges
+from repro.service import PROTOCOL_STUDY_CONFIG, AuthenticationService
 from repro.silicon.arbiter import ArbiterPuf
 from repro.silicon.chip import PufChip
 from repro.silicon.xorpuf import XorArbiterPuf
@@ -107,6 +109,18 @@ def xor_puf() -> XorArbiterPuf:
 def fresh_chip() -> PufChip:
     """A chip in enrollment phase; tests may blow its fuses."""
     return PufChip.create(n_pufs=4, n_stages=N_STAGES, seed=303, chip_id="chip-t")
+
+
+@pytest.fixture()
+def serve():
+    """Factory: a protocol-study service (throttling and lockout off)
+    over *server*, with ``ServiceConfig`` overrides."""
+
+    def build(server, seed, **config):
+        config = dataclasses.replace(PROTOCOL_STUDY_CONFIG, **config)
+        return AuthenticationService(server, config, seed=seed)
+
+    return build
 
 
 @pytest.fixture(scope="session")

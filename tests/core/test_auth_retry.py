@@ -1,12 +1,16 @@
-"""Server-side retry on transient device failure: fresh challenges, bounded.
+"""Retry on transient device failure: fresh challenges, bounded.
 
-The security property under test: a retried session must never replay
-the previous attempt's challenge set.  Repeated or partial transcripts
-are what chosen-challenge attacks harvest, and the zero-HD protocol's
-one-shot sampling assumption forbids asking the same question twice.
+The retry loop lives in :class:`AuthenticationService`, the one
+authenticator.  The security property under test: a retried session
+must never replay the previous attempt's challenge set.  Repeated or
+partial transcripts are what chosen-challenge attacks harvest, and the
+zero-HD protocol's one-shot sampling assumption forbids asking the same
+question twice.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,6 +18,12 @@ import pytest
 from repro.core.authentication import DeviceReadError
 from repro.core.server import AuthenticationServer
 from repro.faults import FaultPlan, FaultSpec, FlakyResponder, Site
+from repro.service import (
+    PROTOCOL_STUDY_CONFIG,
+    AuthenticationService,
+    AuthOutcome,
+    VirtualClock,
+)
 
 pytestmark = pytest.mark.faults
 
@@ -24,6 +34,12 @@ def server_and_chip(enrolled_chip_and_record):
     server = AuthenticationServer()
     server.register(record)
     return server, chip
+
+
+def make_service(server, **overrides):
+    """A fresh service on seed 71 with throttling and lockout off."""
+    config = dataclasses.replace(PROTOCOL_STUDY_CONFIG, **overrides)
+    return AuthenticationService(server, config, seed=71, clock=VirtualClock())
 
 
 def flaky(chip, n_failures):
@@ -55,40 +71,49 @@ class RecordingResponder:
 class TestAuthRetry:
     def test_default_single_attempt_is_unchanged(self, server_and_chip):
         server, chip = server_and_chip
-        result = server.authenticate(chip, seed=71)
+        result = make_service(server).authenticate(chip)
         assert result.approved
         assert result.attempts == 1
 
     def test_first_attempt_bits_match_legacy_derivation(self, server_and_chip):
-        """max_attempts > 1 must not perturb an untroubled session."""
+        """max_read_attempts > 1 must not perturb an untroubled session:
+        its first attempt sends what a single-attempt service sends."""
         server, chip = server_and_chip
-        single = server.authenticate(chip, seed=71)
-        multi = server.authenticate(chip, seed=71, max_attempts=4)
+        single_service = make_service(server, max_read_attempts=1)
+        multi_service = make_service(server, max_read_attempts=4)
+        single = single_service.authenticate(chip)
+        multi = multi_service.authenticate(chip)
         assert multi.attempts == 1
-        assert (single.approved, single.n_mismatches) == (
-            multi.approved, multi.n_mismatches
+        assert (single.approved, single.auth.n_mismatches) == (
+            multi.approved, multi.auth.n_mismatches
+        )
+        assert single_service.audit.issued_digests(chip.chip_id) == (
+            multi_service.audit.issued_digests(chip.chip_id)
         )
 
     def test_transient_failure_is_retried(self, server_and_chip):
         server, chip = server_and_chip
-        result = server.authenticate(flaky(chip, 2), seed=71, max_attempts=3)
+        service = make_service(server, max_read_attempts=3)
+        result = service.authenticate(flaky(chip, 2))
         assert result.approved
         assert result.attempts == 3
 
     def test_exhausted_attempts_propagate_the_failure(self, server_and_chip):
+        """The last read failure becomes a DEVICE_ERROR decision that
+        names it, after exactly max_read_attempts audited reads."""
         server, chip = server_and_chip
-        with pytest.raises(DeviceReadError):
-            server.authenticate(flaky(chip, 99), seed=71, max_attempts=2)
-
-    def test_invalid_max_attempts_rejected(self, server_and_chip):
-        server, chip = server_and_chip
-        with pytest.raises(ValueError, match="max_attempts"):
-            server.authenticate(chip, seed=71, max_attempts=0)
+        service = make_service(server, max_read_attempts=2)
+        result = service.authenticate(flaky(chip, 99))
+        assert result.outcome is AuthOutcome.DEVICE_ERROR
+        assert not result.approved
+        assert result.attempts == 2
+        assert "2 read attempts failed" in result.detail
+        assert len(service.audit.with_outcome(AuthOutcome.READ_FAILED)) == 2
 
     def test_retry_never_replays_challenges(self, server_and_chip):
         server, chip = server_and_chip
         responder = RecordingResponder(chip, n_failures=2)
-        result = server.authenticate(responder, seed=71, max_attempts=3)
+        result = make_service(server, max_read_attempts=3).authenticate(responder)
         assert result.approved and result.attempts == 3
         log = responder.challenge_log
         assert len(log) == 3
@@ -104,7 +129,8 @@ class TestAuthRetry:
         server, chip = server_and_chip
         first = RecordingResponder(chip, n_failures=1)
         second = RecordingResponder(chip, n_failures=1)
-        server.authenticate(first, seed=71, max_attempts=2)
-        server.authenticate(second, seed=71, max_attempts=2)
+        make_service(server, max_read_attempts=2).authenticate(first)
+        make_service(server, max_read_attempts=2).authenticate(second)
+        assert len(first.challenge_log) == len(second.challenge_log) == 2
         for a, b in zip(first.challenge_log, second.challenge_log):
             np.testing.assert_array_equal(a, b)

@@ -24,6 +24,7 @@ from repro.core.lifecycle import (
 )
 from repro.core.server import AuthenticationServer, UnknownChipError
 from repro.crp.dataset import CorruptDatasetError
+from repro.service import AuthOutcome
 from repro.silicon.chip import fabricate_lot
 
 from tests.core.test_codebook_incremental import seeded_server, synth_record
@@ -107,13 +108,15 @@ class TestRevokedServing:
         )
         return lot, clone
 
-    def test_authentication_refused(self, fleet):
+    def test_authentication_refused(self, fleet, serve):
         lot, server = self.fresh(fleet)
         server.revoke(lot[0].chip_id)
-        with pytest.raises(RevokedChipError, match="authentication"):
-            server.authenticate(lot[0], seed=1)
+        service = serve(server, seed=1)
+        refused = service.authenticate(lot[0])
+        assert refused.outcome is AuthOutcome.REVOKED
+        assert refused.challenges_spent == 0
         # The other chip still authenticates normally.
-        assert server.authenticate(lot[1], seed=3).approved
+        assert service.authenticate(lot[1]).approved
 
     def test_identify_excludes_revoked(self, fleet):
         lot, server = self.fresh(fleet)

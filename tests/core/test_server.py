@@ -55,13 +55,13 @@ class TestDatabase:
 
 
 class TestPersistence:
-    def test_save_load_roundtrip(self, enrolled_chip_and_record, tmp_path):
+    def test_save_load_roundtrip(self, enrolled_chip_and_record, tmp_path, serve):
         chip, record = enrolled_chip_and_record
         server = AuthenticationServer({record.chip_id: record})
         server.save_database(tmp_path / "db")
         loaded = AuthenticationServer.load_database(tmp_path / "db")
         assert loaded.enrolled_ids == server.enrolled_ids
-        assert loaded.authenticate(chip, seed=21).approved
+        assert serve(loaded, seed=21).authenticate(chip).approved
 
     def test_load_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="database"):
@@ -80,21 +80,21 @@ class TestPersistence:
 
 
 class TestAuthenticate:
-    def test_honest_default_claim(self, enrolled_chip_and_record):
+    def test_honest_default_claim(self, enrolled_chip_and_record, serve):
         chip, record = enrolled_chip_and_record
         server = AuthenticationServer({record.chip_id: record})
-        assert server.authenticate(chip, seed=3).approved
+        assert serve(server, seed=3).authenticate(chip).approved
 
-    def test_explicit_impostor_claim(self, enrolled_chip_and_record):
+    def test_explicit_impostor_claim(self, enrolled_chip_and_record, serve):
         _, record = enrolled_chip_and_record
         server = AuthenticationServer({record.chip_id: record})
         impostor = PufChip.create(4, N_STAGES, seed=97, chip_id="other")
-        result = server.authenticate(
-            impostor, claimed_id=record.chip_id, n_challenges=96, seed=4
+        result = serve(server, seed=4, n_challenges=96).authenticate(
+            impostor, claimed_id=record.chip_id
         )
         assert not result.approved
 
-    def test_responder_without_id_needs_claim(self, enrolled_chip_and_record):
+    def test_responder_without_id_needs_claim(self, enrolled_chip_and_record, serve):
         _, record = enrolled_chip_and_record
         server = AuthenticationServer({record.chip_id: record})
 
@@ -103,7 +103,7 @@ class TestAuthenticate:
                 return np.zeros(len(challenges), dtype=np.int8)
 
         with pytest.raises(ValueError, match="claimed_id"):
-            server.authenticate(Anonymous(), seed=5)
+            serve(server, seed=5).authenticate(Anonymous())
 
 
 class TestIdentify:

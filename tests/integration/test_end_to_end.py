@@ -34,23 +34,23 @@ class TestFleetWorkflow:
         ]
         return chips, server, records
 
-    def test_every_chip_authenticates_as_itself(self, fleet):
+    def test_every_chip_authenticates_as_itself(self, fleet, serve):
         chips, server, _ = fleet
+        service = serve(server, seed=2, n_challenges=64)
         for chip in chips:
-            assert server.authenticate(chip, n_challenges=64, seed=2).approved
+            assert service.authenticate(chip).approved
 
-    def test_no_chip_authenticates_as_another(self, fleet):
+    def test_no_chip_authenticates_as_another(self, fleet, serve):
         chips, server, _ = fleet
+        service = serve(server, seed=3, n_challenges=96)
         for claimed in chips:
             for device in chips:
                 if device.chip_id == claimed.chip_id:
                     continue
-                result = server.authenticate(
-                    device, claimed_id=claimed.chip_id, n_challenges=96, seed=3
-                )
+                result = service.authenticate(device, claimed_id=claimed.chip_id)
                 assert not result.approved
 
-    def test_fleet_wide_betas_still_sound(self, fleet):
+    def test_fleet_wide_betas_still_sound(self, fleet, serve):
         """Applying the conservative fleet betas to every record keeps
         honest authentication working (paper Sec. 5.1)."""
         chips, _, records = fleet
@@ -58,14 +58,15 @@ class TestFleetWorkflow:
         server = AuthenticationServer(
             {r.chip_id: r.with_betas(fleet_betas) for r in records}
         )
+        service = serve(server, seed=4, n_challenges=64)
         for chip in chips:
-            assert server.authenticate(chip, n_challenges=64, seed=4).approved
+            assert service.authenticate(chip).approved
 
 
 class TestVtHardenedWorkflow:
     """Enrollment with corner validation survives every corner."""
 
-    def test_corner_enrolled_chip_authenticates_everywhere(self):
+    def test_corner_enrolled_chip_authenticates_everywhere(self, serve):
         lot = fabricate_lot(1, 4, N_STAGES, seed=5)
         chip = lot[0]
         record = enroll_chip(
@@ -75,18 +76,18 @@ class TestVtHardenedWorkflow:
             validation_conditions=paper_corner_grid(),
             seed=6,
         )
-        server = AuthenticationServer({chip.chip_id: record})
+        service = serve(
+            AuthenticationServer({chip.chip_id: record}), seed=7, n_challenges=96
+        )
         for condition in paper_corner_grid():
-            result = server.authenticate(
-                chip, n_challenges=96, condition=condition, seed=7
-            )
+            result = service.authenticate(chip, condition=condition)
             assert result.approved, f"denied at {condition}: {result}"
 
 
 class TestAttackVsProtocol:
     """The security story end to end: train an attack, present the clone."""
 
-    def test_clone_of_narrow_xor_puf_threatens_protocol(self):
+    def test_clone_of_narrow_xor_puf_threatens_protocol(self, serve):
         """For small n the MLP clone predicts stable CRPs well -- the
         quantitative reason the paper demands n >= 10."""
         chip = fabricate_lot(1, 2, N_STAGES, seed=8)[0]
@@ -100,14 +101,16 @@ class TestAttackVsProtocol:
         attack = MlpClassifier(seed=11, max_iter=250).fit(train_x, train_y)
         assert attack.score(test_x, test_y) > 0.95
 
-        server = AuthenticationServer({chip.chip_id: record})
+        service = serve(
+            AuthenticationServer({chip.chip_id: record}), seed=12, n_challenges=512
+        )
         clone = ModelResponder(attack, chip_id=chip.chip_id)
         # A >95 %-accurate clone passes 64-bit zero-HD sessions sometimes;
         # measure its per-bit hit rate through the protocol instead.
-        result = server.authenticate(clone, n_challenges=512, seed=12)
-        assert result.hamming_distance < 0.1
+        result = service.authenticate(clone)
+        assert result.auth.hamming_distance < 0.1
 
-    def test_undertrained_clone_fails_protocol(self):
+    def test_undertrained_clone_fails_protocol(self, serve):
         chip = fabricate_lot(1, 4, N_STAGES, seed=13)[0]
         record = enroll_chip(
             chip, n_enroll_challenges=1500, n_validation_challenges=6000, seed=14
@@ -118,8 +121,10 @@ class TestAttackVsProtocol:
         attack = MlpClassifier(seed=16, max_iter=120).fit(
             train_x[:600], train_y[:600]
         )
-        server = AuthenticationServer({chip.chip_id: record})
+        service = serve(
+            AuthenticationServer({chip.chip_id: record}), seed=17, n_challenges=256
+        )
         clone = ModelResponder(attack, chip_id=chip.chip_id)
-        result = server.authenticate(clone, n_challenges=256, seed=17)
+        result = service.authenticate(clone)
         assert not result.approved
-        assert result.hamming_distance > 0.2
+        assert result.auth.hamming_distance > 0.2

@@ -16,7 +16,7 @@ from repro.core.server import AuthenticationServer, UnknownChipError
 from repro.service import (
     AuthOutcome,
     AuthenticationService,
-    ServiceConfig,
+    PROTOCOL_STUDY_CONFIG,
     VirtualClock,
 )
 
@@ -30,7 +30,7 @@ def service_and_chip(enrolled_chip_and_record):
     server.register(record)
     service = AuthenticationService(
         server,
-        ServiceConfig(max_requests_per_window=0, lockout_threshold=0),
+        PROTOCOL_STUDY_CONFIG,
         seed=910,
         clock=VirtualClock(),
     )

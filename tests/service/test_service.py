@@ -6,6 +6,8 @@ breaker cooldowns, rate-limit windows and device failures are exact.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.service import (
     BreakerState,
     DriftPolicy,
     MAX_RUNG,
+    PROTOCOL_STUDY_CONFIG,
     PoolExhaustedError,
     ServiceConfig,
     VirtualClock,
@@ -63,6 +66,13 @@ class CountingResponder:
         return self._chip.xor_response(challenges, condition)
 
 
+class ShortAnswerResponder(InvertingResponder):
+    """A malformed device: answers one bit short."""
+
+    def xor_response(self, challenges, condition=None):
+        return self._chip.xor_response(challenges)[:-1]
+
+
 @pytest.fixture(scope="module")
 def server(enrolled_chip_and_record):
     _, record = enrolled_chip_and_record
@@ -76,11 +86,10 @@ def make_service(server):
     """Factory: a fresh service on a fresh virtual clock, quiet limiter."""
 
     def build(**overrides):
-        overrides.setdefault("max_requests_per_window", 0)
-        overrides.setdefault("lockout_threshold", 0)
         clock = VirtualClock()
         service = AuthenticationService(
-            server, ServiceConfig(**overrides), seed=907, clock=clock
+            server, dataclasses.replace(PROTOCOL_STUDY_CONFIG, **overrides),
+            seed=907, clock=clock,
         )
         return service, clock
 
@@ -201,6 +210,28 @@ class TestAdmission:
         clock.advance(120.0)
         assert service.authenticate(chip).approved
 
+    def test_malformed_answer_is_a_charged_audited_rejection(
+        self, make_service, enrolled_chip_and_record
+    ):
+        chip, _ = enrolled_chip_and_record
+        service, _ = make_service(lockout_threshold=2)
+        n = service.config.n_challenges
+        short = ShortAnswerResponder(chip)
+        result = service.authenticate(short)
+        assert result.outcome is AuthOutcome.REJECTED
+        assert result.auth is None
+        assert result.challenges_spent == n
+        assert service.chip_status(chip.chip_id)["challenges_spent"] == n
+        event = service.audit.decisions()[-1]
+        assert event.outcome is AuthOutcome.REJECTED
+        assert event.n_mismatches is None
+        assert event.digests == tuple(service.audit.issued_digests(chip.chip_id))
+        assert len(event.digests) == n
+        assert f"({n - 1},)" in event.detail and f"({n},)" in event.detail
+        # Garbage counts as a rejection: two lock the identity out.
+        assert service.authenticate(short).outcome is AuthOutcome.REJECTED
+        assert service.authenticate(short).outcome is AuthOutcome.RATE_LIMITED
+
 
 class TestDeviceFailureHandling:
     def test_transient_read_failure_is_retried_with_fresh_challenges(
@@ -217,6 +248,10 @@ class TestDeviceFailureHandling:
         digests = service.audit.issued_digests(chip.chip_id)
         assert len(digests) == 2 * service.config.n_challenges
         assert len(set(digests)) == len(digests)
+
+    def test_read_attempts_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_read_attempts"):
+            ServiceConfig(max_read_attempts=0)
 
     def test_breaker_opens_fast_fails_and_recovers(
         self, make_service, enrolled_chip_and_record
@@ -258,7 +293,7 @@ class TestDeviceFailureHandling:
         )
         service = AuthenticationService(
             server,
-            ServiceConfig(max_requests_per_window=0, lockout_threshold=0),
+            PROTOCOL_STUDY_CONFIG,
             seed=907, clock=VirtualClock(), faults=plan,
         )
         first = service.authenticate(chip)
@@ -464,7 +499,7 @@ class TestRetighteningCommit:
         clock = VirtualClock()
         service = AuthenticationService(
             server,
-            ServiceConfig(max_requests_per_window=0, lockout_threshold=0),
+            PROTOCOL_STUDY_CONFIG,
             seed=911,
             clock=clock,
         )
@@ -492,7 +527,7 @@ class TestRetighteningCommit:
         clock = VirtualClock()
         service = AuthenticationService(
             server,
-            ServiceConfig(max_requests_per_window=0, lockout_threshold=0),
+            PROTOCOL_STUDY_CONFIG,
             seed=912,
             clock=clock,
         )

@@ -48,6 +48,23 @@ class TestChunkSizeValidation:
         assert parse(["stability"]).chunk_size is None
 
 
+class TestAuthValidation:
+    @pytest.mark.parametrize("flag", ["--max-attempts", "--challenges"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_count_fails_before_enrollment(
+        self, flag, value, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["auth", flag, value])
+        assert excinfo.value.code == 2
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+
+    def test_non_integer_count_is_a_clear_error(self, capsys):
+        with pytest.raises(SystemExit):
+            parse(["auth", "--max-attempts", "few"])
+        assert "expects an integer" in capsys.readouterr().err
+
+
 class TestResumeOption:
     @pytest.mark.parametrize(
         "argv",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+import textwrap
 
 import pytest
 
@@ -70,6 +71,34 @@ def test_top_level_quickstart_names():
         "parity_features",
     ):
         assert hasattr(repro, name), f"repro.{name} missing"
+
+
+class _RecordingChip:
+    """Passes reads through to *chip*, keeping each challenge set sent."""
+
+    def __init__(self, chip):
+        self._chip = chip
+        self.chip_id = chip.chip_id
+        self.sent = []
+
+    def xor_response(self, challenges, condition=repro.NOMINAL_CONDITION):
+        self.sent.append({row.tobytes() for row in challenges})
+        return self._chip.xor_response(challenges, condition)
+
+
+def test_quickstart_flow_never_replays_challenges():
+    """Repeating the package docstring's authentication issues pairwise
+    disjoint challenge sets: the public API never replays a transcript."""
+    quickstart = textwrap.dedent(repro.__doc__.split("Quickstart::")[1])
+    setup, _, session = quickstart.partition("result = ")
+    namespace = {}
+    exec(setup, namespace)
+    chip = namespace["chip"] = _RecordingChip(namespace["chip"])
+    for _ in range(3):
+        exec("result = " + session, namespace)
+    assert len(chip.sent) == 3
+    assert all(len(rows) == 64 for rows in chip.sent)
+    assert len(set().union(*chip.sent)) == 3 * 64
 
 
 def test_version_string():

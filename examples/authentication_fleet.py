@@ -92,7 +92,7 @@ def main() -> None:
           f"(match {result.match_fraction:.1%}); runner-up score "
           f"{sorted(result.scores.values())[-2]:.1%}")
     stranger = fabricate_lot(1, N_PUFS, N_STAGES, seed=4242)[0]
-    result = server.identify(stranger, n_challenges=64, seed=86)
+    result = server.identify(stranger, n_challenges=64)
     print(f"  unenrolled device: identified as {result.chip_id} "
           f"(best match only {result.match_fraction:.1%})")
 

@@ -38,7 +38,6 @@ from .scale import (
     engine_jobs,
     env_flag,
     full_scale,
-    scaled,
 )
 from .schema import (
     SCHEMA_VERSION,
@@ -50,7 +49,7 @@ from .schema import (
     trajectory_path,
     write_trajectory,
 )
-from .timing import best_of, sample_stats, time_per_call
+from .timing import best_of, sample_stats
 from .variance import CellVerdict, GateConfig, compare_cell, compare_runs
 
 __all__ = [
@@ -85,8 +84,6 @@ __all__ = [
     "run_matrix",
     "sample_stats",
     "save_results",
-    "scaled",
-    "time_per_call",
     "trajectory_path",
     "write_trajectory",
 ]

@@ -188,6 +188,15 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     discover(Path(args.dir) if args.dir else None)
+    # Read the baseline before the run records into the trajectory, so
+    # a recording run is not compared against itself.
+    baseline = None
+    if args.compare:
+        try:
+            baseline = load_trajectory(Path(args.against) if args.against else None)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
         run = run_matrix(
             names=args.cases or None,
@@ -208,8 +217,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             json.dumps(run, indent=2, default=float) + "\n", encoding="utf-8"
         )
         print(f"run document written to {args.output}")
-    if args.compare:
-        baseline = load_trajectory(Path(args.against) if args.against else None)
+    if baseline is not None:
         report = compare_runs(baseline, run, _gate_config(args))
         _print_report(report)
         return 0 if report["ok"] else 1
@@ -223,16 +231,17 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(f"error: baseline trajectory {baseline_path} does not exist",
               file=sys.stderr)
         return 2
-    baseline = load_trajectory(baseline_path)
-    if args.candidate:
-        candidate_path = Path(args.candidate)
-        if not candidate_path.exists():
-            print(f"error: candidate run {candidate_path} does not exist",
-                  file=sys.stderr)
-            return 2
+    candidate_path = Path(args.candidate) if args.candidate else trajectory_path()
+    if not candidate_path.exists():
+        print(f"error: candidate run {candidate_path} does not exist",
+              file=sys.stderr)
+        return 2
+    try:
+        baseline = load_trajectory(baseline_path)
         candidate = load_trajectory(candidate_path)
-    else:
-        candidate = load_trajectory(trajectory_path())
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = compare_runs(
         baseline, candidate, _gate_config(args),
         gated_only=not args.all_cells,

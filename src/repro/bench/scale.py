@@ -26,7 +26,6 @@ __all__ = [
     "active_tier",
     "env_flag",
     "full_scale",
-    "scaled",
     "engine_jobs",
     "engine_chunk_size",
 ]
@@ -76,20 +75,6 @@ def active_tier() -> str:
 def full_scale() -> bool:
     """Whether the paper-scale sizes were requested."""
     return active_tier() == "paper"
-
-
-def scaled(default: int, full: int, smoke: Optional[int] = None) -> int:
-    """Pick the experiment size for the current tier.
-
-    ``default`` is the laptop size, ``full`` the paper size; ``smoke``
-    falls back to the laptop size when a case has no smaller shape.
-    """
-    tier = active_tier()
-    if tier == "paper":
-        return full
-    if tier == "smoke" and smoke is not None:
-        return smoke
-    return default
 
 
 def engine_jobs() -> int:

@@ -16,20 +16,15 @@ Schema v2 layout of the trajectory file::
       "cells": {
         "soft_sweep:smoke:j1:numpy": {
           "case": "soft_sweep", "tier": "smoke", "jobs": 1,
-          "backend": "numpy", "metric": "speedup", "unit": "x",
-          "direction": "higher", "gated": true,
-          "samples": [9.1, 9.4, 9.2],
+          "backend": "numpy", "metric": "engine_crps_per_sec",
+          "unit": "crps/s", "direction": "higher", "gated": true,
+          "samples": [4.3e6, 4.4e6, 3.9e6],
           "stats": {"n": 3, "min": ..., "median": ..., "mad": ...},
           "payload": {...last run's payload...},
           "env": {"python": "3.11.9", "numpy": "1.26.4", ...}
         }, ...
-      },
-      "legacy": {...the pre-matrix v1 sections, preserved verbatim...}
+      }
     }
-
-v1 files (a flat dict of ad-hoc sections) are still readable: known
-sections are surfaced as n=1 point-estimate pseudo-cells so the
-variance gate can compare across the format change without crashing.
 """
 
 from __future__ import annotations
@@ -37,7 +32,6 @@ from __future__ import annotations
 import json
 import os
 import platform
-import sys
 import time
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional
@@ -51,20 +45,10 @@ __all__ = [
     "load_trajectory",
     "merge_cell",
     "write_trajectory",
-    "legacy_point_cells",
     "save_results",
 ]
 
 SCHEMA_VERSION = 2
-
-#: v1 section name -> (metric key extractor path, unit, direction).
-#: Extractors reach into the old ad-hoc payload shapes; a missing key
-#: simply drops the section from the legacy view.
-_LEGACY_SECTIONS = {
-    "soft_sweep": ("speedup", "x", "higher"),
-    "enrollment": ("crps_per_sec", "crps/s", "higher"),
-    "identify": ("identifies_per_sec", "calls/s", "higher"),
-}
 
 
 def bench_root() -> Path:
@@ -124,63 +108,24 @@ def save_results(name: str, payload: Mapping[str, Any]) -> Path:
 
 
 def load_trajectory(path: Optional[Path] = None) -> Dict[str, Any]:
-    """Read a trajectory file of either schema generation.
+    """Read a schema-v2 trajectory (``schema_version``/``cells``).
 
-    Returns a v2-shaped dict (``schema_version``/``cells``/``legacy``);
-    a v1 file comes back with its sections preserved under ``legacy``
-    and an empty ``cells`` map.  A missing file is an empty trajectory.
+    A missing file is an empty trajectory; a file of another schema
+    raises ``ValueError``.
     """
     path = Path(path) if path is not None else trajectory_path()
     if not path.exists():
-        return {"schema_version": SCHEMA_VERSION, "cells": {}, "legacy": {}}
+        return {"schema_version": SCHEMA_VERSION, "cells": {}}
     raw = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: trajectory file must hold a JSON object")
-    if raw.get("schema_version", 1) >= 2:
-        raw.setdefault("cells", {})
-        raw.setdefault("legacy", {})
-        return raw
-    return {"schema_version": SCHEMA_VERSION, "cells": {}, "legacy": raw}
-
-
-def legacy_point_cells(trajectory: Mapping[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """v1 sections as n=1 point-estimate pseudo-cells, keyed by case.
-
-    The pre-matrix file recorded one scalar per section (sometimes
-    twice, under backend-tagged keys like ``soft_sweep:numpy``).  Those
-    become single-sample cells so a comparison against an old committed
-    file degrades to a wide-tolerance point check instead of a crash.
-    """
-    cells: Dict[str, Dict[str, Any]] = {}
-    legacy = trajectory.get("legacy", {})
-    for section, payload in legacy.items():
-        case = section.split(":", 1)[0]
-        if case not in _LEGACY_SECTIONS or not isinstance(payload, Mapping):
-            continue
-        metric, unit, direction = _LEGACY_SECTIONS[case]
-        value = payload.get(metric)
-        if value is None:
-            continue
-        cells.setdefault(
-            case,
-            {
-                "case": case,
-                "metric": metric,
-                "unit": unit,
-                "direction": direction,
-                "samples": [float(value)],
-                "stats": {
-                    "n": 1,
-                    "min": float(value),
-                    "max": float(value),
-                    "mean": float(value),
-                    "median": float(value),
-                    "mad": 0.0,
-                },
-                "legacy": True,
-            },
+    if raw.get("schema_version") != SCHEMA_VERSION:
+        raise ValueError(
+            f"{path}: trajectory schema {raw.get('schema_version')!r} is not "
+            f"{SCHEMA_VERSION}"
         )
-    return cells
+    raw.setdefault("cells", {})
+    return raw
 
 
 def merge_cell(
@@ -189,7 +134,6 @@ def merge_cell(
     """Insert/replace one cell entry in a v2 trajectory dict."""
     trajectory.setdefault("schema_version", SCHEMA_VERSION)
     trajectory.setdefault("cells", {})
-    trajectory.setdefault("legacy", {})
     trajectory["cells"][cell_id] = dict(entry)
     return trajectory
 

@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-__all__ = ["best_of", "time_per_call", "sample_stats"]
+__all__ = ["best_of", "sample_stats"]
 
 
 def best_of(fn: Callable[[], object], repeats: int = 5) -> float:
@@ -29,15 +29,6 @@ def best_of(fn: Callable[[], object], repeats: int = 5) -> float:
         fn()
         best = min(best, time.perf_counter() - start)
     return best
-
-
-def time_per_call(fn: Callable[[], object], calls: int) -> float:
-    """Mean seconds per call over one timed batch of *calls* runs."""
-    calls = max(1, calls)
-    start = time.perf_counter()
-    for _ in range(calls):
-        fn()
-    return (time.perf_counter() - start) / calls
 
 
 def sample_stats(samples: Sequence[float]) -> Dict[str, float]:

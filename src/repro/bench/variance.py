@@ -15,9 +15,12 @@ replaces the point ratios with a statistical verdict:
   sigmas **and** by more than ``min_rel_shift`` relatively -- both
   conditions, so neither a noisy series nor a microscopic-but-
   significant wobble trips the gate;
-* legacy n=1 point estimates (the pre-matrix ``BENCH_*.json`` entries)
-  degrade to a pure relative check with a wider ``legacy_rel_shift``
-  tolerance instead of crashing on a zero-width band.
+* single-sample point estimates (the laptop and paper tiers take one
+  sample per cell) degrade to a pure relative check with a wider
+  ``legacy_rel_shift`` tolerance instead of crashing on a zero-width
+  band;
+* a committed cell that recorded a different metric is no baseline:
+  the candidate is reported as ``new``.
 
 Improvements never fail the gate; they are reported so a suspiciously
 large win still gets eyeballs.
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional
 
 __all__ = ["GateConfig", "CellVerdict", "compare_cell", "compare_runs"]
 
@@ -163,23 +166,6 @@ def compare_cell(
     )
 
 
-def _baseline_for(
-    cell_id: str,
-    entry: Mapping[str, Any],
-    baseline_cells: Mapping[str, Mapping[str, Any]],
-    legacy_cells: Mapping[str, Mapping[str, Any]],
-) -> Optional[Mapping[str, Any]]:
-    if cell_id in baseline_cells:
-        return baseline_cells[cell_id]
-    case = entry.get("case", cell_id.split(":", 1)[0])
-    # The pre-matrix trajectory had no tier/jobs axes; fall back to the
-    # section's point estimate when the metric is the same quantity.
-    legacy = legacy_cells.get(case)
-    if legacy is not None and legacy.get("metric") == entry.get("metric"):
-        return legacy
-    return None
-
-
 def compare_runs(
     baseline: Mapping[str, Any],
     candidate: Mapping[str, Any],
@@ -192,19 +178,22 @@ def compare_runs(
     ungated cells are compared informationally (``enforced: False``)
     unless ``gated_only`` is False, in which case every cell enforces.
     """
-    from .schema import legacy_point_cells
-
     baseline_cells = baseline.get("cells", {})
-    legacy_cells = legacy_point_cells(baseline)
     verdicts: List[Dict[str, Any]] = []
     failures = 0
 
     for cell_id, entry in sorted(candidate.get("cells", {}).items()):
         enforced = bool(entry.get("gated", False)) or not gated_only
-        base = _baseline_for(cell_id, entry, baseline_cells, legacy_cells)
+        base = baseline_cells.get(cell_id)
         if base is None:
             verdict = CellVerdict(
                 cell_id, "new", "no committed baseline for this cell"
+            )
+        elif base.get("metric") != entry.get("metric"):
+            verdict = CellVerdict(
+                cell_id, "new",
+                f"the committed baseline measures {base.get('metric')!r}, "
+                f"not {entry.get('metric')!r}",
             )
         else:
             verdict = compare_cell(cell_id, base, entry, config)

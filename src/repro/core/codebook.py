@@ -1,11 +1,10 @@
 """The bit-packed identification codebook and its popcount matcher.
 
-1:N identification asks "which enrolled chip is this device?".  The
-naive data plane answers it by running every identity's model-assisted
-challenge selection (:class:`~repro.core.selection.ChallengeSelector`)
-on every call -- a linear-regression sweep over tens of thousands of
-candidate challenges *per identity per request*.  That is what capped
-the server at ~10^2 identifications/sec.
+1:N identification asks "which enrolled chip is this device?".  A
+naive data plane would run every identity's model-assisted challenge
+selection (:class:`~repro.core.selection.ChallengeSelector`) on every
+call -- a linear-regression sweep over tens of thousands of candidate
+challenges *per identity per request*, ~10^2 identifications/sec.
 
 This module turns identification into a table lookup:
 
@@ -323,11 +322,9 @@ class IdentificationCodebook:
         Identification block length per identity.
     seed:
         Root seed of the per-identity selection streams.  Row ``c`` is
-        selected with ``derive_generator(seed, "identify", c)`` -- the
-        *same* derivation as the dense per-call path, so a codebook
-        built with seed ``s`` reproduces exactly the blocks
-        ``identify(..., seed=s)`` would have drawn.  Must be an int or
-        ``None`` (persisted alongside the rows).
+        selected with ``derive_generator(seed, "identify", c)``, so two
+        codebooks built with seed ``s`` hold exactly the same blocks.
+        Must be an int or ``None`` (persisted alongside the rows).
     """
 
     def __init__(self, n_challenges: int = 64, seed: Optional[int] = None) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import json
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from repro.core.selection import ChallengeSelector
 from repro.crp.transform import parity_features
 from repro.silicon.chip import PufChip
 from repro.silicon.environment import NOMINAL_CONDITION, OperatingCondition
-from repro.utils.rng import SeedLike, derive_generator
+from repro.utils.rng import SeedLike
 
 __all__ = [
     "AuthenticationServer",
@@ -294,7 +294,10 @@ class AuthenticationServer:
         """The identification codebook for *n_challenges*.
 
         Created on first use (with *seed* fixing the per-identity
-        selection streams) and cached per block length.  Under the
+        selection streams) and cached per block length.  A *seed* that
+        differs from the built codebook's raises ``ValueError`` -- its
+        rows were selected from other streams; ``None`` takes whatever
+        is built.  Under the
         default (eager) policy any staleness is repaired here, before
         the codebook is returned -- incrementally, via the mutation
         journal, so the cost is proportional to what actually changed.
@@ -310,6 +313,11 @@ class AuthenticationServer:
         if book is None:
             book = IdentificationCodebook(n_challenges, seed=seed)
             self._codebooks[n_challenges] = book
+        elif seed is not None and int(seed) != book.seed:
+            raise ValueError(
+                f"the {n_challenges}-challenge codebook was built with "
+                f"seed {book.seed}, not the requested seed {seed}"
+            )
         if book.synced_epoch != self._epoch:
             policy = self.codebook_policy
             if (
@@ -495,104 +503,38 @@ class AuthenticationServer:
         n_challenges: int = 64,
         min_match_fraction: float = 0.95,
         condition: OperatingCondition = NOMINAL_CONDITION,
-        seed: SeedLike = None,
-        use_codebook: Optional[bool] = None,
+        seed: Optional[int] = None,
         return_scores: bool = False,
     ) -> IdentificationResult:
         """1:N identification: which enrolled chip is this device?
 
-        Sends one selected-challenge block per enrolled identity (each
-        identity's own models pick its challenges) in a single stacked
-        device query and scores the answers against each prediction.
-        The genuine chip matches its own record perfectly; every other
-        record sees a ~50 % coin-flip agreement, so the gap is
-        unambiguous whenever ``n_challenges`` is more than a few dozen.
-
-        Two data planes serve the request:
-
-        * the **codebook plane** (*use_codebook=True*, or the default
-          once a codebook is built and no per-call *seed* is given):
-          every identity's block was materialized once at sync time, so
-          the call is :meth:`identify_many` on a batch of one -- one
-          device read plus one XOR + popcount pass over the bit-packed
-          codebook, no selector run at all;
-        * the **dense plane** (*use_codebook=False*, or automatically
-          when a per-call *seed* requests fresh blocks): each
-          identity's selector re-derives its block from
-          ``(seed, "identify", chip_id)``, exactly the historical
-          behaviour.
-
-        Both planes produce bit-identical scores for the same blocks,
-        and a codebook built with seed ``s`` uses exactly the blocks
-        the dense plane derives from ``s``.  Revoked identities can win
-        on neither plane: the dense sweep iterates :attr:`active_ids`,
-        the codebook plane masks tombstoned rows out of argmax.
+        :meth:`identify_many` on a batch of one.  The device answers
+        the codebook's stacked query -- one selected block per enrolled
+        identity, materialized once at sync time -- and one XOR +
+        popcount pass scores the answers against every identity's
+        packed prediction.  The genuine chip matches its own record
+        perfectly; every other record sees a ~50 % coin-flip agreement,
+        so the gap is unambiguous whenever ``n_challenges`` is more than
+        a few dozen.  *seed* fixes the codebook's selection streams when
+        this call builds it (see :meth:`codebook`).
 
         Returns an :class:`IdentificationResult`; ``chip_id`` is
         ``None`` when no identity clears *min_match_fraction* (an
-        unenrolled or heavily degraded device).  Ties are deterministic:
-        when two identities score identically, the lexicographically
-        lowest chip id wins.  Per-identity ``scores`` are built only on
-        *return_scores=True* -- at large enrolled populations the dict
-        itself is O(N) per request.
+        unenrolled or heavily degraded device).  Revoked identities
+        never win.  Ties are deterministic: when two identities score
+        identically, the lexicographically lowest chip id wins.
+        Per-identity ``scores`` are built only on *return_scores=True*
+        -- at large enrolled populations the dict itself is O(N) per
+        request.
         """
-        if not self._records:
-            raise UnknownChipError("no identities enrolled")
-        if use_codebook is None:
-            use_codebook = seed is None and n_challenges in self._codebooks
-        if use_codebook:
-            return self.identify_many(
-                [responder],
-                n_challenges=n_challenges,
-                min_match_fraction=min_match_fraction,
-                condition=condition,
-                seed=seed if isinstance(seed, (int, np.integer)) else None,
-                return_scores=return_scores,
-            )[0]
-        ids = self.active_ids
-        if not ids:
-            raise UnknownChipError("no active identities enrolled")
-        blocks = [
-            self.selector(chip_id).select(
-                n_challenges, derive_generator(seed, "identify", chip_id)
-            )
-            for chip_id in ids
-        ]
-        # One stacked responder query plus one vectorized comparison for
-        # all identities.  Scores are bit-identical to the per-identity
-        # loop: each identity's selection generator is unchanged, and a
-        # numpy Generator fills a concatenated noise array with exactly
-        # the values the per-block calls would have drawn in sequence.
-        stacked = np.concatenate([challenges for challenges, _ in blocks])
-        predicted = np.stack([predicted for _, predicted in blocks])
-        responses = np.asarray(responder.xor_response(stacked, condition))
-        responses = responses.reshape(len(ids), n_challenges)
-        match = (responses == predicted).mean(axis=1)
-        return self._best_match(ids, match, min_match_fraction, return_scores)
-
-    @staticmethod
-    def _best_match(
-        ids: Sequence[str],
-        match: np.ndarray,
-        min_match_fraction: float,
-        return_scores: bool,
-    ) -> IdentificationResult:
-        """Winner + optional score dict from a sorted-id score vector.
-
-        *ids* is ascending, so ``argmax`` (first occurrence wins) is
-        exactly the deterministic tie-break: highest score, then
-        lexicographically lowest chip id.
-        """
-        best = int(np.argmax(match))
-        best_score = float(match[best])
-        return IdentificationResult(
-            chip_id=ids[best] if best_score >= min_match_fraction else None,
-            match_fraction=best_score,
-            scores=(
-                {chip_id: float(value) for chip_id, value in zip(ids, match)}
-                if return_scores else None
-            ),
-        )
+        return self.identify_many(
+            [responder],
+            n_challenges=n_challenges,
+            min_match_fraction=min_match_fraction,
+            condition=condition,
+            seed=seed,
+            return_scores=return_scores,
+        )[0]
 
     def identify_many(
         self,
@@ -612,8 +554,7 @@ class AuthenticationServer:
         grid that is packed once and scored in **one** XOR + popcount
         pass over 64-bit words, and one masked argmax picks every
         winner.  The per-request cost is amortized across the batch;
-        :meth:`identify`'s codebook plane is this method on a batch of
-        one.  An answer that is not all 0/1 raises ``ValueError``
+        :meth:`identify` is this method on a batch of one.  An answer that is not all 0/1 raises ``ValueError``
         before the next device is read.
 
         *conditions* optionally gives each responder its own operating

@@ -56,14 +56,13 @@ def trajectory_file(path, case, samples, tier="smoke"):
             "direction": "higher", "gated": True,
             "samples": list(samples), "stats": sample_stats(samples),
         }},
-        "legacy": {},
     }))
     return path
 
 
 class TestCompareExitCodes:
     def _cells(self, samples):
-        return {"schema_version": 2, "legacy": {}, "cells": {
+        return {"schema_version": 2, "cells": {
             "a:smoke:j1:numpy": {
                 "case": "a", "metric": "speedup", "direction": "higher",
                 "gated": True, "samples": list(samples),
@@ -113,6 +112,15 @@ class TestCompareExitCodes:
         assert main(["bench", "compare", str(tmp_path / "missing.json"),
                      "--against", str(base), "--dir", str(empty)]) == 2
 
+    def test_other_schema_exits_two(self, tmp_path):
+        empty = bench_dir(tmp_path)
+        base = tmp_path / "base.json"
+        cand = tmp_path / "cand.json"
+        base.write_text(json.dumps(self._cells([10.0, 10.1, 9.9])))
+        cand.write_text(json.dumps({"soft_sweep": {"speedup": 9.0}}))
+        assert main(["bench", "compare", str(cand), "--against", str(base),
+                     "--dir", str(empty)]) == 2
+
     def test_new_cell_warns_but_exits_zero(self, tmp_path, capsys):
         # A candidate cell the baseline has never seen is NOT a
         # regression: warn loudly, gate nothing, and keep exit 0 so a
@@ -121,7 +129,7 @@ class TestCompareExitCodes:
         base = tmp_path / "base.json"
         cand = tmp_path / "cand.json"
         base.write_text(json.dumps(
-            {"schema_version": 2, "legacy": {}, "cells": {}}
+            {"schema_version": 2, "cells": {}}
         ))
         cand.write_text(json.dumps(self._cells([10.0, 10.1, 9.9])))
         assert main(["bench", "compare", str(cand), "--against", str(base),
@@ -198,6 +206,21 @@ class TestRun:
         assert main(argv + ["--against", str(inflated)]) == 1
         assert main(argv + ["--against", str(honest)]) == 0
 
+    def test_recording_run_compares_against_the_prior_trajectory(
+        self, tmp_path
+    ):
+        # A recording run merges into the committed trajectory; --compare
+        # must gate against the file as it stood before the run, not
+        # against the run itself.
+        directory = bench_dir(tmp_path, case="clirecord")
+        committed = trajectory_file(
+            tmp_path / "BENCH_throughput.json", "clirecord", [10.0, 10.0, 10.0]
+        )
+        assert main(["bench", "run", "clirecord", "--tier", "smoke",
+                     "--compare", "--dir", str(directory)]) == 1
+        (cell,) = json.loads(committed.read_text())["cells"].values()
+        assert cell["stats"]["median"] == pytest.approx(5.0)
+
     def test_run_compare_with_unseen_cell_warns_and_passes(self, tmp_path,
                                                            capsys):
         # `run --compare` for a brand-new cell (committed trajectory
@@ -205,7 +228,7 @@ class TestRun:
         directory = bench_dir(tmp_path, case="clinew")
         empty_traj = tmp_path / "empty.json"
         empty_traj.write_text(json.dumps(
-            {"schema_version": 2, "cells": {}, "legacy": {}}
+            {"schema_version": 2, "cells": {}}
         ))
         assert main(["bench", "run", "clinew", "--tier", "smoke",
                      "--no-record", "--compare",

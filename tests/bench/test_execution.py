@@ -151,17 +151,23 @@ class TestRecordResult:
         record_result(run_cell(case, tier="smoke"))
         assert not trajectory_path().exists()
 
-    def test_merge_preserves_other_cells_and_legacy(self):
+    def test_merge_preserves_other_cells(self):
         trajectory_path().write_text(json.dumps(
-            {"other:cell": {"samples": [1.0]}, "soft_sweep": {"speedup": 9.0}}
+            {"schema_version": 2, "cells": {"other:cell": {"samples": [1.0]}}}
         ))
         case, _ = counting_case(trajectory=True)
         result = run_cell(case, tier="smoke")
         record_result(result)
         merged = load_trajectory(trajectory_path())
-        # v1 flat file migrated: old sections preserved under "legacy".
-        assert merged["legacy"]["soft_sweep"] == {"speedup": 9.0}
+        assert merged["cells"]["other:cell"] == {"samples": [1.0]}
         assert result.cell_id in merged["cells"]
+
+    def test_other_schema_is_refused(self):
+        # A flat pre-matrix file has no schema_version; it is not read
+        # as an empty trajectory (recording would overwrite it).
+        trajectory_path().write_text(json.dumps({"soft_sweep": {"speedup": 9.0}}))
+        with pytest.raises(ValueError, match="schema"):
+            load_trajectory(trajectory_path())
 
 
 class TestMatrixRegistry:

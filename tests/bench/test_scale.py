@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import TIERS, active_tier, env_flag, full_scale
-from repro.bench.scale import scaled
 
 
 @pytest.fixture(autouse=True)
@@ -69,17 +68,3 @@ class TestActiveTier:
         monkeypatch.setenv("REPRO_SCALE", "smoke")
         monkeypatch.setenv("REPRO_FULL_SCALE", "1")
         assert active_tier() == "smoke"
-
-
-class TestScaled:
-    def test_tier_picks_the_size(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "laptop")
-        assert scaled(200, 1000, smoke=50) == 200
-        monkeypatch.setenv("REPRO_SCALE", "paper")
-        assert scaled(200, 1000, smoke=50) == 1000
-        monkeypatch.setenv("REPRO_SCALE", "smoke")
-        assert scaled(200, 1000, smoke=50) == 50
-
-    def test_smoke_falls_back_to_laptop_size(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "smoke")
-        assert scaled(200, 1000) == 200

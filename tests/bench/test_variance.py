@@ -155,7 +155,7 @@ class TestLegacyPointEstimates:
 
 class TestCompareRuns:
     def _trajectory(self, cells):
-        return {"schema_version": 2, "cells": cells, "legacy": {}}
+        return {"schema_version": 2, "cells": cells}
 
     def test_clean_run_is_ok(self):
         base = self._trajectory({"a:smoke:j1:numpy": entry([10.0, 10.1, 9.9])})
@@ -196,32 +196,20 @@ class TestCompareRuns:
         assert report["new_cells"] == 1
         assert report["verdicts"][0]["status"] == "new"
 
-    def test_v1_legacy_section_becomes_point_baseline(self):
-        # An old flat BENCH_throughput.json compares as an n=1 point
-        # estimate with the wide tolerance -- across the schema change.
-        base = {"schema_version": 2, "cells": {},
-                "legacy": {"soft_sweep": {"speedup": 10.0}}}
-        ok_cand = self._trajectory({
+    def test_baseline_requires_matching_metric(self):
+        # A committed cell that measured another quantity is no
+        # baseline: comparing medians across metrics would be noise.
+        base = self._trajectory({
             "soft_sweep:smoke:j1:numpy": entry(
-                [6.0, 6.0, 6.0], case="soft_sweep"
+                [10.0, 10.0, 10.0], case="soft_sweep"
             )
         })
-        bad_cand = self._trajectory({
-            "soft_sweep:smoke:j1:numpy": entry(
-                [4.0, 4.0, 4.0], case="soft_sweep"
-            )
-        })
-        assert compare_runs(base, ok_cand)["ok"]
-        assert not compare_runs(base, bad_cand)["ok"]
-
-    def test_legacy_fallback_requires_matching_metric(self):
-        base = {"schema_version": 2, "cells": {},
-                "legacy": {"soft_sweep": {"speedup": 10.0}}}
         cand = self._trajectory({
             "soft_sweep:smoke:j1:numpy": entry(
-                [0.01, 0.01, 0.01], case="soft_sweep",
+                [50.0, 50.0, 50.0], case="soft_sweep",
                 metric="elapsed_seconds", direction="lower",
             )
         })
         report = compare_runs(base, cand)
+        assert report["ok"]
         assert report["verdicts"][0]["status"] == "new"

@@ -23,8 +23,10 @@ from repro.core.codebook import (
     packed_match_fractions,
     popcount,
 )
+from repro.core.enrollment import enroll_chip
 from repro.core.server import AuthenticationServer
 from repro.silicon.chip import fabricate_lot
+from tests.core.test_server import dense_identify
 
 N_STAGES = 32
 
@@ -120,36 +122,61 @@ def fresh_server(lot_and_server):
     )
 
 
+@pytest.fixture(scope="module")
+def aliased_corpus():
+    """Eight base chips registered under ``id-%05d`` aliases.
+
+    The fixed-seed regression corpus: every alias gets its own
+    identification block, and the first three chips of the lot are
+    the probes.
+    """
+    lot = fabricate_lot(8, 3, N_STAGES, seed=650)
+    server = AuthenticationServer()
+    for index, chip in enumerate(lot):
+        record = enroll_chip(
+            chip, seed=651 + index,
+            n_enroll_challenges=1200, n_validation_challenges=5000,
+        )
+        server.register(dataclasses.replace(record, chip_id=f"id-{index:05d}"))
+    return lot, server
+
+
 class TestCodebookIdentify:
-    @pytest.mark.parametrize("n_challenges", [61, 64])
-    def test_bit_identical_to_dense_identify(self, lot_and_server, n_challenges):
-        """Codebook and dense planes agree bit-for-bit, per identity.
+    @pytest.mark.parametrize(
+        "n_challenges, corpus",
+        [(61, "lot"), (64, "lot"), (64, "aliased")],
+        ids=["61", "64", "aliased-64"],
+    )
+    def test_bit_identical_to_dense_identify(
+        self, request, lot_and_server, n_challenges, corpus
+    ):
+        """Codebook identify equals the dense oracle bit-for-bit.
 
         Twin chips fabricated from one seed share their noise streams;
         both lots are fabricated *fresh* here so each device pair sits
-        at the same stream position, the two planes see identical
-        answers, and any score difference would be the matcher's fault
-        alone.
+        at the same stream position, the oracle and the codebook see
+        identical answers, and any score difference would be the
+        matcher's fault alone.
         """
-        _, server = lot_and_server
-        seed = 170
-        lot_dense = fabricate_lot(3, 3, N_STAGES, seed=160)
-        lot_book = fabricate_lot(3, 3, N_STAGES, seed=160)
-        for chip, twin in zip(lot_dense, lot_book):
-            dense = server.identify(
-                chip, n_challenges=n_challenges, seed=seed,
-                use_codebook=False, return_scores=True,
+        if corpus == "lot":
+            server, seed, lot_seed = fresh_server(lot_and_server), 170, 160
+        else:
+            corpus_pair = request.getfixturevalue("aliased_corpus")
+            server, seed, lot_seed = fresh_server(corpus_pair), 700, 650
+        for index, (chip, twin) in enumerate(zip(
+            fabricate_lot(3, 3, N_STAGES, seed=lot_seed),
+            fabricate_lot(3, 3, N_STAGES, seed=lot_seed),
+        )):
+            expected = dense_identify(server, chip, n_challenges, seed)
+            got = server.identify(
+                twin, n_challenges=n_challenges, seed=seed, return_scores=True
             )
-            book = server.identify(
-                twin, n_challenges=n_challenges, seed=seed,
-                use_codebook=True, return_scores=True,
-            )
-            assert book.chip_id == dense.chip_id == chip.chip_id
-            assert book.match_fraction == dense.match_fraction
-            assert book.scores == dense.scores
+            assert got.chip_id == server.enrolled_ids[index]
+            assert got == expected
 
     def test_codebook_used_by_default_once_built(self, lot_and_server):
-        lot, server = lot_and_server
+        lot, _ = lot_and_server
+        server = fresh_server(lot_and_server)
         server.codebook(64, seed=171)
         before = server.codebook(64, seed=171).rebuilds
         result = server.identify(lot[0])
@@ -157,22 +184,36 @@ class TestCodebookIdentify:
         assert server.codebook(64, seed=171).rebuilds == before
 
     def test_scores_are_opt_in(self, lot_and_server):
-        lot, server = lot_and_server
+        lot, _ = lot_and_server
+        server = fresh_server(lot_and_server)
         assert server.identify(lot[0], seed=172).scores is None
         scored = server.identify(lot[0], seed=172, return_scores=True)
         assert set(scored.scores) == set(server.enrolled_ids)
 
     def test_identify_many_matches_identify(self, lot_and_server):
-        lot, server = lot_and_server
+        lot, _ = lot_and_server
+        server = fresh_server(lot_and_server)
         batch = server.identify_many(lot, n_challenges=64, seed=173)
-        singles = [
-            server.identify(chip, n_challenges=64, use_codebook=True)
-            for chip in lot
-        ]
+        singles = [server.identify(chip, n_challenges=64) for chip in lot]
         assert [r.chip_id for r in batch] == [r.chip_id for r in singles]
         assert [r.match_fraction for r in batch] == [
             r.match_fraction for r in singles
         ]
+
+    def test_conflicting_seed_is_refused(self, lot_and_server):
+        """A seed the built codebook was not built with raises.
+
+        Its rows were selected from other streams, so silently serving
+        them would ignore the caller's seed; ``seed=None`` takes
+        whatever is built.
+        """
+        lot, _ = lot_and_server
+        server = fresh_server(lot_and_server)
+        server.identify_many([lot[0]], seed=1)
+        with pytest.raises(ValueError, match="seed 1, not the requested seed 2"):
+            server.identify_many([lot[0]], seed=2)
+        assert server.codebook(64).seed == 1
+        assert server.codebook(64, seed=1).seed == 1
 
 
 class TestEpochInvalidation:
@@ -231,8 +272,8 @@ class TestEpochInvalidation:
 
 class TestPersistence:
     def test_codebook_save_load_roundtrip(self, lot_and_server, tmp_path):
-        lot, server = lot_and_server
-        book = server.codebook(64, seed=190)
+        lot, _ = lot_and_server
+        book = fresh_server(lot_and_server).codebook(64, seed=190)
         path = tmp_path / "book.npz"
         book.save(path)
         loaded = IdentificationCodebook.load(path)
@@ -245,7 +286,8 @@ class TestPersistence:
         assert (loaded.match_packed(packed) == book.match_packed(packed)).all()
 
     def test_database_roundtrip_carries_codebook(self, lot_and_server, tmp_path):
-        lot, server = lot_and_server
+        lot, _ = lot_and_server
+        server = fresh_server(lot_and_server)
         server.codebook(64, seed=191)
         server.save_database(tmp_path / "db")
         assert (tmp_path / "db" / "_codebook_64.npz").exists()
@@ -257,7 +299,7 @@ class TestPersistence:
         assert reloaded.codebook(64).rebuilds == 0
 
     def test_stale_persisted_rows_rebuilt(self, lot_and_server, tmp_path):
-        lot, server = lot_and_server
+        lot, _ = lot_and_server
         base = fresh_server(lot_and_server)
         base.codebook(64, seed=192)
         base.save_database(tmp_path / "db")

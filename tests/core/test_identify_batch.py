@@ -208,7 +208,6 @@ class TestBatchEqualsOracle:
             FixedResponder(answers[0]),
             n_challenges=n,
             min_match_fraction=min_match,
-            use_codebook=True,
             return_scores=return_scores,
         )
         assert single == got[0]

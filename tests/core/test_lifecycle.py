@@ -122,13 +122,10 @@ class TestRevokedServing:
         lot, server = self.fresh(fleet)
         server.codebook(64, seed=444)
         server.revoke(lot[0].chip_id)
-        # Codebook plane: tombstoned row cannot win even pre-compaction.
-        result = server.identify(lot[0], seed=5, return_scores=True)
+        # Tombstoned row cannot win even pre-compaction.
+        result = server.identify(lot[0], return_scores=True)
         assert result.chip_id != lot[0].chip_id
         assert lot[0].chip_id not in result.scores
-        # Dense plane sees only active identities too.
-        dense = server.identify(lot[0], seed=5, use_codebook=False)
-        assert dense.chip_id != lot[0].chip_id
 
     def test_identify_with_no_active_identities(self, fleet):
         lot, server = self.fresh(fleet)
@@ -138,11 +135,9 @@ class TestRevokedServing:
             server.revoke(chip_id)
         # Pre-compaction the rows still exist but none may win argmax.
         assert not book.active_mask.any()
-        # Once synced the fleet is empty; both planes refuse to guess.
+        # Once synced the fleet is empty; identify refuses to guess.
         with pytest.raises(UnknownChipError, match="no active"):
-            server.identify(lot[0], seed=6)
-        with pytest.raises(UnknownChipError, match="no active"):
-            server.identify(lot[0], seed=6, use_codebook=False)
+            server.identify(lot[0])
 
 
 class TestLifecyclePersistence:

@@ -6,12 +6,48 @@ import numpy as np
 import pytest
 
 from repro.attacks.logistic import LogisticAttack
-from repro.core.server import AuthenticationServer, ModelResponder, UnknownChipError
+from repro.core.server import (
+    AuthenticationServer,
+    IdentificationResult,
+    ModelResponder,
+    UnknownChipError,
+)
 from repro.crp.challenges import random_challenges
 from repro.crp.transform import parity_features
 from repro.silicon.chip import PufChip
+from repro.utils.rng import derive_generator
 
 N_STAGES = 32
+
+
+def dense_identify(server, device, n_challenges, seed):
+    """The dense identify plane: the codebook plane's oracle.
+
+    Selects each active identity's block from
+    ``(seed, "identify", chip_id)``, sends every block to *device* in
+    one stacked nominal read (sorted-id order, as the codebook stacks
+    them), scores ``(responses == predicted).mean`` per identity and
+    takes the first-occurrence argmax, so ties go to the lowest chip
+    id; the winner must clear ``identify``'s default 0.95.
+    """
+    ids = server.active_ids
+    blocks = [
+        server.selector(chip_id).select(
+            n_challenges, derive_generator(seed, "identify", chip_id)
+        )
+        for chip_id in ids
+    ]
+    stacked = np.concatenate([challenges for challenges, _ in blocks])
+    predicted = np.stack([predicted for _, predicted in blocks])
+    responses = np.asarray(device.xor_response(stacked))
+    match = (responses.reshape(len(ids), n_challenges) == predicted).mean(axis=1)
+    best = int(np.argmax(match))
+    score = float(match[best])
+    return IdentificationResult(
+        chip_id=ids[best] if score >= 0.95 else None,
+        match_fraction=score,
+        scores=dict(zip(ids, match.tolist())),
+    )
 
 
 class TestDatabase:
@@ -107,6 +143,9 @@ class TestAuthenticate:
 
 
 class TestIdentify:
+    #: One codebook seed per server: a cached codebook refuses another.
+    SEED = 70
+
     @pytest.fixture(scope="class")
     def multi_server(self):
         from repro.silicon.chip import fabricate_lot
@@ -123,19 +162,19 @@ class TestIdentify:
     def test_genuine_chip_identified(self, multi_server):
         lot, server = multi_server
         for chip in lot:
-            result = server.identify(chip, seed=70)
+            result = server.identify(chip, seed=self.SEED)
             assert result.chip_id == chip.chip_id
             assert result.match_fraction == pytest.approx(1.0, abs=0.02)
 
     def test_scores_cover_all_identities(self, multi_server):
         lot, server = multi_server
-        result = server.identify(lot[0], seed=71, return_scores=True)
+        result = server.identify(lot[0], seed=self.SEED, return_scores=True)
         assert set(result.scores) == {c.chip_id for c in lot}
 
     def test_non_matching_identities_near_coinflip(self, multi_server):
         lot, server = multi_server
         result = server.identify(
-            lot[0], n_challenges=128, seed=72, return_scores=True
+            lot[0], n_challenges=128, seed=self.SEED, return_scores=True
         )
         others = [v for k, v in result.scores.items() if k != lot[0].chip_id]
         assert all(abs(v - 0.5) < 0.2 for v in others)
@@ -143,37 +182,26 @@ class TestIdentify:
     def test_unenrolled_device_rejected(self, multi_server):
         _, server = multi_server
         stranger = PufChip.create(3, N_STAGES, seed=999, chip_id="stranger")
-        result = server.identify(stranger, n_challenges=128, seed=73)
+        result = server.identify(stranger, n_challenges=128, seed=self.SEED)
         assert result.chip_id is None
         assert result.match_fraction < 0.95
 
     def test_vectorized_scores_match_reference_loop(self, multi_server):
-        """The stacked-matrix identify equals the per-identity loop bit-for-bit.
+        """Codebook identify equals the dense oracle bit-for-bit.
 
         Two chips fabricated from the same seed carry identical noise
-        generators; one answers the reference loop, the other the
-        vectorized path, so both see the same noise stream.
+        generators; one answers the oracle's stacked read, the other
+        the codebook's, so both see the same noise stream.
         """
-        from repro.utils.rng import derive_generator
-
         _, server = multi_server
         device_loop = PufChip.create(3, N_STAGES, seed=31337, chip_id="twin")
         device_vec = PufChip.create(3, N_STAGES, seed=31337, chip_id="twin")
-        seed, n_challenges = 74, 64
-
-        expected = {}
-        for chip_id in server.enrolled_ids:
-            challenges, predicted = server.selector(chip_id).select(
-                n_challenges, derive_generator(seed, "identify", chip_id)
-            )
-            responses = np.asarray(device_loop.xor_response(challenges))
-            expected[chip_id] = float((responses == predicted).mean())
-
+        expected = dense_identify(server, device_loop, 64, self.SEED)
         result = server.identify(
-            device_vec, n_challenges=n_challenges, seed=seed, return_scores=True
+            device_vec, n_challenges=64, seed=self.SEED, return_scores=True
         )
-        assert result.scores == expected
-        assert result.match_fraction == max(expected.values())
+        assert result == expected
+        assert result.match_fraction == max(expected.scores.values())
 
     def test_empty_database_raises(self):
         with pytest.raises(UnknownChipError, match="no identities"):

@@ -87,7 +87,6 @@ def soft_sweep_cell(ctx):
     unit="crps/s",
     direction="higher",
     trajectory=True,
-    warmup=0,
 )
 def enrollment_cell(ctx):
     n_enroll = ctx.params["n_enroll"]

@@ -13,15 +13,18 @@ the selector exposes it for the benchmarks.
 
 The loop classifies the challenge stream in growing chunks and stops
 at the chunk that completes the request.  Every chunk is a multiple of
-4 rows, so the chunked draws are byte-for-byte the prefix of one large
-draw (see :meth:`~repro.crp.challenges.ChallengeStream.take`) and the
-selection does not depend on the chunk sizes.
+4 rows, so the selection does not depend on the chunk sizes: the
+chunked draws are byte-for-byte the prefix of one large draw (see
+:meth:`~repro.crp.challenges.ChallengeStream.take`), and every row
+keeps its position modulo 4, which fixes the BLAS kernel that sums its
+score.  Within a chunk the constituents are tested one after another
+on the rows still alive (see :meth:`ChallengeSelector._stable_rows`).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -89,22 +92,8 @@ class ChallengeSelector:
     def categories(self, challenges: np.ndarray) -> np.ndarray:
         """``(n_pufs, n_challenges)`` per-PUF ResponseCategory codes."""
         challenges = as_challenge_array(challenges, self.n_stages)
-        return self._categories_trusted(challenges)
-
-    def _categories_trusted(
-        self, challenges: np.ndarray, phi: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """:meth:`categories` minus the 0/1 content scan.
-
-        For batches from trusted internal sources: :meth:`categories`
-        after its own boundary validation, and the rejection loop's
-        :class:`~repro.crp.challenges.ChallengeStream` draws (the stream
-        only ever emits 0/1 bits).  Rescanning every rejected batch was
-        pure overhead in the selection hot loop.  *phi* is an optional
-        ``(n, k + 1)`` buffer for the parity features.
-        """
         predicted = self.xor_model.predict_individual_soft_from_features(
-            parity_features(challenges, out=phi, validate=False)
+            parity_features(challenges, validate=False)
         )
         return np.stack(
             [
@@ -131,6 +120,36 @@ class ChallengeSelector:
         """
         bits = category_to_bit(self.categories(challenges))
         return np.bitwise_xor.reduce(bits, axis=0)
+
+    def _stable_rows(self, features: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows of *features* stable on every PUF, and their XOR bits.
+
+        The cascade classifies one constituent at a time and narrows the
+        surviving rows as it goes, so it makes the same decisions as
+        :meth:`categories` without building the category array, and
+        stops once no row survives.  Each constituent is still scored on
+        the whole chunk and then indexed: BLAS sums a row's score in a
+        kernel that depends on the row's position modulo 4, so a score
+        computed on a gathered subset can differ by an ulp and flip a
+        row at a threshold.
+        """
+        alive = None
+        bits = None
+        for model, pair in zip(self.xor_model.models, self.threshold_pairs):
+            soft = model.predict_soft_from_features(features)
+            if alive is not None:
+                soft = soft[alive]
+            one = soft > pair.thr1
+            stable = one | (soft < pair.thr0)
+            if alive is None:
+                alive = np.flatnonzero(stable)
+                bits = one[alive].view(np.int8)
+            else:
+                alive = alive[stable]
+                bits = bits[stable] ^ one[stable].view(np.int8)
+            if not len(alive):
+                break
+        return alive, bits
 
     # ------------------------------------------------------------------
     # Rejection-sampling loop (Fig. 7: "Select Stable Challenges")
@@ -177,17 +196,13 @@ class ChallengeSelector:
                 )
             batch = stream.take(chunk)
             chunk = min(2 * chunk, MAX_CHUNK)
-            # One classification pass per batch: the stability mask and
-            # the predicted bits are both read off the same category
-            # array (the bits are valid exactly where the mask holds).
-            categories = self._categories_trusted(batch, phi[: len(batch)])
-            mask = (categories != ResponseCategory.UNSTABLE).all(axis=0)
-            if not mask.any():
+            kept, bits = self._stable_rows(
+                parity_features(batch, out=phi[: len(batch)], validate=False)
+            )
+            if not len(kept):
                 continue
-            kept = batch[mask]
-            bits = category_to_bit(categories[:, mask])
-            selected.append(kept)
-            responses.append(np.bitwise_xor.reduce(bits, axis=0))
+            selected.append(batch[kept])
+            responses.append(bits)
             collected += len(kept)
         challenges = np.concatenate(selected)[:n_challenges]
         predicted = np.concatenate(responses)[:n_challenges]

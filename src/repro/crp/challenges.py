@@ -13,6 +13,10 @@ The module offers:
   same challenge sequence on server and device),
 * exhaustive enumeration for small ``k`` (used by tests),
 * integer encode/decode helpers so challenges can be stored compactly.
+
+Every random draw goes through :func:`_draw_bits`, which returns exactly
+the rows of ``rng.integers(0, 2, (n, k), dtype=np.int8)`` and leaves the
+generator in the same state, at about a fifth of the cost.
 """
 
 from __future__ import annotations
@@ -34,6 +38,41 @@ __all__ = [
 ]
 
 
+def _draw_bits(rng: np.random.Generator, n: int, n_stages: int) -> np.ndarray:
+    """``rng.integers(0, 2, (n, n_stages), dtype=np.int8)``, from raw words.
+
+    For a range of 2, numpy's bounded int8 draw returns the top bit of
+    successive bytes of the generator's 32-bit outputs, low byte first.
+    It never rejects, and it drops the unused bytes of the last 32-bit
+    word when the call ends.  PCG64 serves 32-bit outputs as the low
+    then the high half of each 64-bit word, buffering the high half
+    (``has_uint32``/``uinteger``) across calls.  So the same bits are the
+    top bits of the little-endian bytes of ``random_raw`` words, after
+    any buffered half-word; the buffer is carried in and out through
+    ``bit_generator.state``.  Other bit generators take numpy's path.
+    """
+    bit_generator = rng.bit_generator
+    if type(bit_generator) is not np.random.PCG64:
+        return rng.integers(0, 2, size=(n, n_stages), dtype=np.int8)
+    n_bytes = n * n_stages
+    bits = np.empty(n_bytes, dtype=np.uint8)
+    state = bit_generator.state
+    head = 0
+    if state["has_uint32"]:
+        head = min(4, n_bytes)
+        buffered = np.array([state["uinteger"]], dtype="<u4").view(np.uint8)
+        np.right_shift(buffered[:head], 7, out=bits[:head])
+    words = -(-(n_bytes - head) // 4)  # 32-bit outputs still to consume
+    if words:
+        raw = bit_generator.random_raw((words + 1) // 2).astype("<u8", copy=False)
+        np.right_shift(raw.view(np.uint8)[: n_bytes - head], 7, out=bits[head:])
+        state = bit_generator.state
+        state["uinteger"] = int(raw[-1] >> np.uint64(32))
+    state["has_uint32"] = words & 1
+    bit_generator.state = state
+    return bits.view(np.int8).reshape(n, n_stages)
+
+
 def random_challenges(
     n: int,
     n_stages: int,
@@ -47,8 +86,7 @@ def random_challenges(
     """
     n = check_positive_int(n, "n")
     n_stages = check_positive_int(n_stages, "n_stages")
-    rng = as_generator(seed)
-    return rng.integers(0, 2, size=(n, n_stages), dtype=np.int8)
+    return _draw_bits(as_generator(seed), n, n_stages)
 
 
 def unique_random_challenges(
@@ -74,7 +112,7 @@ def unique_random_challenges(
     rows = np.empty((n, n_stages), dtype=np.int8)
     filled = 0
     for _ in range(max_attempts):
-        batch = rng.integers(0, 2, size=(max(n - filled, 1) * 2, n_stages), dtype=np.int8)
+        batch = _draw_bits(rng, max(n - filled, 1) * 2, n_stages)
         for row in batch:
             key = row.tobytes()
             if key in seen:
@@ -160,15 +198,17 @@ class ChallengeStream:
     def take(self, n: int) -> np.ndarray:
         """Draw the next *n* challenges.
 
-        Successive calls concatenate to exactly the rows of one larger
-        call when each call's ``n * n_stages`` is a multiple of 4, which
-        holds for any width when *n* is a multiple of 4.  numpy fills
-        the int8 bits from 32-bit words and drops the unused bytes of
-        the last word when a call ends, so other splits shift the
-        stream.
+        The rows are exactly ``rng.integers(0, 2, (n, k), dtype=np.int8)``
+        on the stream's generator, read from its raw 64-bit words (see
+        :func:`_draw_bits`).  Successive calls concatenate to exactly the
+        rows of one larger call when each call's ``n * n_stages`` is a
+        multiple of 4, which holds for any width when *n* is a multiple
+        of 4.  The bits come from 32-bit outputs, one byte per bit, and
+        a call drops the unused bytes of its last output, so other
+        splits shift the stream.
         """
         n = check_positive_int(n, "n")
-        batch = self._rng.integers(0, 2, size=(n, self.n_stages), dtype=np.int8)
+        batch = _draw_bits(self._rng, n, self.n_stages)
         self._drawn += n
         return batch
 

@@ -17,11 +17,13 @@ import enum
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-__all__ = ["AuthOutcome", "AuthEvent", "AuditLog", "challenge_digests"]
+__all__ = [
+    "AuthOutcome", "AuthEvent", "AuditLog", "PackedDigests", "challenge_digests",
+]
 
 
 class AuthOutcome(str, enum.Enum):
@@ -128,6 +130,68 @@ def challenge_digests(challenges: np.ndarray) -> Tuple[str, ...]:
     )
 
 
+class PackedDigests(Sequence[str]):
+    """Hex challenge digests held as one ``bytes`` value.
+
+    A decision event keeps one digest per issued row (64 by default) for
+    the life of the audit log.  As separate hex strings 64 digests take
+    ~4.6 KB; packed they take their raw bytes, 8 per row.  Every read
+    (iteration, indexing, equality with a tuple of hex strings) sees the
+    same lowercase hex strings as :func:`challenge_digests`.
+    """
+
+    __slots__ = ("raw", "width")
+
+    def __init__(self, raw: bytes = b"", width: int = 8) -> None:
+        self.raw = raw
+        self.width = width
+
+    @classmethod
+    def of(cls, digests: Iterable[str]) -> "PackedDigests":
+        """Pack equal-length hex digests (an instance passes through)."""
+        if isinstance(digests, cls):
+            return digests
+        digests = tuple(digests)
+        if not digests:
+            return NO_DIGESTS
+        width = len(digests[0]) // 2
+        if any(len(digest) != 2 * width for digest in digests):
+            raise ValueError("challenge digests must all have the same length")
+        return cls(bytes.fromhex("".join(digests)), width)
+
+    def hex(self) -> Tuple[str, ...]:
+        """The digests as hex strings, in row order."""
+        text = self.raw.hex()
+        step = 2 * self.width
+        return tuple(text[i : i + step] for i in range(0, len(text), step))
+
+    def __len__(self) -> int:
+        return len(self.raw) // self.width
+
+    def __getitem__(self, index):
+        return self.hex()[index]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.hex())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PackedDigests):
+            return self.raw == other.raw and len(self) == len(other)
+        if isinstance(other, (tuple, list)):
+            return self.hex() == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.hex())
+
+    def __repr__(self) -> str:
+        return f"PackedDigests({self.hex()!r})"
+
+
+#: The digests of an event that issued no challenge.
+NO_DIGESTS = PackedDigests()
+
+
 @dataclasses.dataclass(frozen=True, slots=True)
 class AuthEvent:
     """One structured audit record.
@@ -163,7 +227,9 @@ class AuthEvent:
     detail:
         Free-form human-readable context.
     digests:
-        Per-row digests of every challenge issued by this event.
+        Per-row digests of every challenge issued by this event, packed
+        (see :class:`PackedDigests`; any sequence of hex digests is
+        accepted and packed).
     """
 
     seq: int
@@ -180,11 +246,17 @@ class AuthEvent:
     breaker_state: str = ""
     latency: float = 0.0
     detail: str = ""
-    digests: Tuple[str, ...] = ()
+    digests: PackedDigests = NO_DIGESTS
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "digests", PackedDigests.of(self.digests))
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-ready dictionary (enum flattened to its string value)."""
-        payload = dataclasses.asdict(self)
+        payload = {
+            field.name: getattr(self, field.name)
+            for field in dataclasses.fields(self)
+        }
         payload["outcome"] = self.outcome.value
         payload["digests"] = list(self.digests)
         return payload

@@ -61,7 +61,13 @@ from repro.core.server import (
 from repro.faults import FaultPlan, Site
 from repro.service.budget import ChallengeBudget, PoolExhaustedError
 from repro.service.drift import MAX_RUNG, DriftMonitor, DriftPolicy
-from repro.service.events import AuditLog, AuthEvent, AuthOutcome, challenge_digests
+from repro.service.events import (
+    AuditLog,
+    AuthEvent,
+    AuthOutcome,
+    PackedDigests,
+    challenge_digests,
+)
 from repro.service.fleet.dispatcher import OverloadError
 from repro.service.resilience import CircuitBreaker, RateLimiter
 from repro.silicon.environment import NOMINAL_CONDITION, OperatingCondition
@@ -202,9 +208,10 @@ def _digest_keys(digests: Sequence[str]) -> np.ndarray:
     """The 8-byte values of hex challenge digests, as ``uint64``.
 
     Hex text and its 8 bytes are a bijection, so membership by key is
-    exactly membership by digest, at 8 bytes a row.
+    exactly membership by digest, at 8 bytes a row.  Packed digests are
+    read as they are stored.
     """
-    return np.frombuffer(bytes.fromhex("".join(digests)), dtype=">u8").astype(
+    return np.frombuffer(PackedDigests.of(digests).raw, dtype=">u8").astype(
         np.uint64
     )
 
@@ -840,7 +847,7 @@ class AuthenticationService:
         chip_id: str,
         state: _ChipState,
         selector: ChallengeSelector,
-    ) -> Tuple[np.ndarray, np.ndarray, Tuple[str, ...]]:
+    ) -> Tuple[np.ndarray, np.ndarray, PackedDigests]:
         """Select ``n_challenges`` never-issued challenges for *chip_id*.
 
         Each draw derives an independent stream from the per-chip nonce;
@@ -872,7 +879,7 @@ class AuthenticationService:
                 return (
                     np.stack(kept_challenges[:n_needed]),
                     np.asarray(kept_predicted[:n_needed], dtype=np.int8),
-                    tuple(kept_digests[:n_needed]),
+                    PackedDigests.of(kept_digests[:n_needed]),
                 )
         raise RuntimeError(
             f"could not collect {n_needed} never-issued challenges for "
@@ -966,7 +973,7 @@ class AuthenticationService:
         attempt: int = 0,
         state: Optional[_ChipState] = None,
         detail: str = "",
-        digests: Tuple[str, ...] = (),
+        digests: Sequence[str] = (),
         n_challenges: int = 0,
         n_mismatches: Optional[int] = None,
         challenges_spent: int = 0,

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core.model import LinearPufModel, XorPufModel
-from repro.core.selection import ChallengeSelector, SelectionExhaustedError
+from repro.core.selection import FIRST_CHUNK, ChallengeSelector, SelectionExhaustedError
 from repro.core.thresholds import ResponseCategory, ThresholdPair, category_to_bit
 from repro.crp.challenges import ChallengeStream, random_challenges
+from repro.service import ServiceConfig
 
 N_STAGES = 32
 
@@ -144,3 +145,50 @@ class TestChunkedSelectionOracle:
                 want = _reference_select(selector, n_challenges, seed)
                 np.testing.assert_array_equal(got[0], want[0])
                 np.testing.assert_array_equal(got[1], want[1])
+
+
+class TestStabilityCascade:
+    """The per-constituent cascade in ``select`` against the category
+    array.  On a real enrolled XOR-4 record it runs at the nominal
+    thresholds and at the service's default re-tightening, where the
+    accept ratio falls to about 3e-4 and many chunks lose every row
+    before the last PUF."""
+
+    @pytest.mark.parametrize("retightened", [False, True], ids=["nominal", "retightened"])
+    @pytest.mark.parametrize("n_challenges", [1, 64])
+    def test_matches_full_batch_loop_on_enrolled_record(
+        self, enrolled_chip_and_record, n_challenges, retightened
+    ):
+        _, record = enrolled_chip_and_record
+        pairs = record.adjusted_pairs
+        if retightened:
+            config = ServiceConfig()
+            pairs = [
+                pair.scale(config.retighten_beta0, config.retighten_beta1)
+                for pair in pairs
+            ]
+        selector = ChallengeSelector(record.xor_model, pairs)
+        for seed in range(8):
+            got = selector.select(n_challenges, seed=seed)
+            want = _reference_select(selector, n_challenges, seed)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("tied", [0, 1], ids=["first-puf", "last-puf"])
+    def test_ties_at_the_thresholds_are_unstable(self, tied):
+        """Rows scored exactly on a threshold are unstable, as in
+        :func:`classify_predictions`.  One PUF's pair sits on two scores
+        of the first chunk's rows; the other PUF calls every row stable,
+        so each tied row reaches the test."""
+        selector = _synthetic_selector(N_STAGES, tightened=False)
+        batch = ChallengeStream(N_STAGES, seed=0).take(FIRST_CHUNK)
+        scores = np.sort(selector.xor_model.predict_individual_soft(batch)[tied])
+        pairs = [ThresholdPair(10.0, 11.0)] * 2
+        pairs[tied] = ThresholdPair(
+            scores[FIRST_CHUNK // 3], scores[2 * FIRST_CHUNK // 3]
+        )
+        selector = ChallengeSelector(selector.xor_model, pairs)
+        got = selector.select(FIRST_CHUNK, seed=0)
+        want = _reference_select(selector, FIRST_CHUNK, seed=0)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])

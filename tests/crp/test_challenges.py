@@ -127,3 +127,59 @@ class TestChallengeStream:
         stream = ChallengeStream(8, seed=10)
         first = next(iter(stream))
         assert first.shape == (8,)
+
+
+SPLITS = ([4, 4, 4], [1024, 2048, 4096], [3, 5, 7, 1], [1] * 5)
+
+
+class TestRawWordDraw:
+    """The raw-word draw behind ``take`` and ``random_challenges`` is
+    ``rng.integers(0, 2, (n, k), dtype=np.int8)`` row for row, and it
+    leaves the generator where numpy would, buffered half-word included."""
+
+    @staticmethod
+    def _assert_same_generator(ours, oracle):
+        assert ours.integers(2**31) == oracle.integers(2**31)
+        assert ours.random() == oracle.random()
+
+    @pytest.mark.parametrize("split", SPLITS, ids=lambda s: "-".join(map(str, s)))
+    @pytest.mark.parametrize("n_stages", [1, 7, 32, 33, 63, 64, 65])
+    def test_stream_matches_rng_integers(self, n_stages, split):
+        for seed in range(4):
+            stream = ChallengeStream(n_stages, seed=seed)
+            oracle = np.random.default_rng(seed)
+            if seed % 2:
+                # Start from a buffered 32-bit half-word.
+                stream._rng.integers(2**31)
+                oracle.integers(2**31)
+            for n in split:
+                np.testing.assert_array_equal(
+                    stream.take(n),
+                    oracle.integers(0, 2, size=(n, n_stages), dtype=np.int8),
+                )
+            assert stream._rng.bit_generator.state == oracle.bit_generator.state
+            self._assert_same_generator(stream._rng, oracle)
+
+    @pytest.mark.parametrize("n_stages", [1, 7, 32, 33, 63, 64, 65])
+    def test_random_challenges_matches_rng_integers(self, n_stages):
+        for seed in range(4):
+            ours = np.random.default_rng(seed)
+            oracle = np.random.default_rng(seed)
+            for n in (1, 3, 100):
+                np.testing.assert_array_equal(
+                    random_challenges(n, n_stages, seed=ours),
+                    oracle.integers(0, 2, size=(n, n_stages), dtype=np.int8),
+                )
+            assert ours.bit_generator.state == oracle.bit_generator.state
+            self._assert_same_generator(ours, oracle)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.MT19937])
+    def test_other_bit_generators_take_numpys_path(self, bit_generator):
+        ours = np.random.Generator(bit_generator(5))
+        oracle = np.random.Generator(bit_generator(5))
+        for n in (3, 5, 64):
+            np.testing.assert_array_equal(
+                random_challenges(n, 33, seed=ours),
+                oracle.integers(0, 2, size=(n, 33), dtype=np.int8),
+            )
+        self._assert_same_generator(ours, oracle)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.service import AuditLog, AuthEvent, AuthOutcome, challenge_digests
+from repro.service.events import PackedDigests
 
 pytestmark = pytest.mark.service
 
@@ -35,6 +36,27 @@ class TestChallengeDigests:
     def test_rejects_non_matrix_input(self):
         with pytest.raises(ValueError, match="2-D"):
             challenge_digests(np.array([0, 1, 0, 1]))
+
+
+class TestPackedDigests:
+    def test_event_packs_row_digests_to_their_bytes(self):
+        digests = challenge_digests(np.eye(5, 32, dtype=np.int8))
+        packed = event(0, digests=digests).digests
+        assert isinstance(packed, PackedDigests)
+        assert len(packed.raw) == 8 * len(digests)
+        assert packed == digests and digests == packed
+        assert list(packed) == list(digests) and packed[-1] == digests[-1]
+        assert event(0, digests=packed) == event(0, digests=digests)
+        assert event(0, digests=digests).to_dict()["digests"] == list(digests)
+
+    def test_no_digests(self):
+        assert event(0).digests == () and () == event(0).digests
+        assert not event(0).digests
+        assert event(0).digests is event(1, digests=[]).digests
+
+    def test_unequal_lengths_are_refused(self):
+        with pytest.raises(ValueError, match="same length"):
+            PackedDigests.of(("aa", "bbbb"))
 
 
 class TestAuditLog:

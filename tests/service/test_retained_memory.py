@@ -20,13 +20,14 @@ from repro.service import AuthenticationService, ServiceConfig, VirtualClock
 pytestmark = [pytest.mark.service]
 
 #: Retained bytes per request.  A zero-HD authentication keeps its
-#: decision event with 64 row digests (~4.7 KB of strings and tuple)
-#: plus 8 bytes per issued key: ~5.5 KB here, against ~12.1 KB while the
+#: decision event with 64 row digests packed into one bytes value
+#: (8 bytes a row) plus 8 bytes per issued key: ~1.4 KB here, against
+#: ~5.5 KB while the event held 64 hex strings and ~12.1 KB while the
 #: issued record was a set of hex strings.  An identification keeps one
 #: slotted event that shares its batch's latency float and a cached
 #: detail string: ~210 B, against ~320 B with a fresh detail and latency
 #: per event and ~450 B with a per-instance event dict.
-AUTH_RETAINED_BYTES = 7_000
+AUTH_RETAINED_BYTES = 1_800
 IDENTIFY_RETAINED_BYTES = 260
 
 

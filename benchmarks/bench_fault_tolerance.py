@@ -10,7 +10,8 @@ checkpointing on:
   the original wall clock does the resumed run save?  Expected: roughly
   proportional to the journalled fraction.
 
-Results land in ``benchmarks/results/fault_tolerance.json``.
+``repro-puf bench run fault_tolerance`` records the results in
+``benchmarks/results/fault_tolerance.json``.
 """
 
 import shutil

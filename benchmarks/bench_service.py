@@ -12,8 +12,8 @@ Two identical drifting-fleet traffic replays answer it:
 
 Sec. 5.2 of the paper motivates the rung-2 fix: thresholds validated
 only at nominal mispredict stability at the corners, and the margin has
-to come from (re-)selection.  Results land in
-``benchmarks/results/service_resilience.json``.
+to come from (re-)selection.  ``repro-puf bench run service_resilience``
+records the results in ``benchmarks/results/service_resilience.json``.
 """
 
 from repro.bench import matrix, run_for_test

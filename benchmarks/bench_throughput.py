@@ -1,7 +1,7 @@
 """Throughput of the chunked evaluation engine.
 
-Two matrix cells, both merged into ``BENCH_throughput.json`` at the
-repo root by the :mod:`repro.bench` execution layer:
+Two matrix cells; ``repro-puf bench run`` merges both into
+``BENCH_throughput.json`` at the repo root:
 
 * **soft_sweep** -- the Fig. 3 paper shape (10-input XOR PUF, one
   shared challenge set, T = 100 000 counters) through

@@ -4,8 +4,8 @@ Keeping a conftest here puts ``benchmarks/`` on ``sys.path`` so the
 bench modules import the same way under pytest and standalone.  It also
 adds two options mirroring the ``repro-puf bench`` CLI knobs:
 
-* ``--backend`` pins the kernel backend whose numbers land in
-  ``BENCH_throughput.json``;
+* ``--backend`` pins the kernel backend the selected bench cells run
+  on;
 * ``--tier`` pins the scale tier (smoke/laptop/paper) for every matrix
   cell the selected bench tests run, overriding ``REPRO_SCALE``::
 

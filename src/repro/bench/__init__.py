@@ -36,7 +36,6 @@ from .scale import (
     active_tier,
     engine_chunk_size,
     engine_jobs,
-    env_flag,
     full_scale,
 )
 from .schema import (
@@ -71,7 +70,6 @@ __all__ = [
     "emit",
     "engine_chunk_size",
     "engine_jobs",
-    "env_flag",
     "environment_metadata",
     "format_row",
     "full_scale",

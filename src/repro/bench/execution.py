@@ -279,19 +279,16 @@ def run_for_test(
     name: str,
     capsys=None,
     report: Optional[Callable[["CellResult"], Iterable[str]]] = None,
-    record: bool = True,
 ) -> CellResult:
     """Pytest entry point: run one case at the environment's tier.
 
     Emits the standard header, the cell's variance summary, and the
     caller's table rows (``report`` maps the finished result to lines),
-    writes artifacts, and returns the result so the test can assert on
-    the payload.
+    and returns the result so the test can assert on the payload.  It
+    writes nothing: only ``repro-puf bench run`` records artifacts.
     """
     case = matrix.get(name)
     result = run_cell(case)
-    if record:
-        record_result(result)
     lines = list(result.summary_lines())
     if report is not None:
         lines.extend(report(result))

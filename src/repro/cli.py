@@ -439,7 +439,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_sim(args: argparse.Namespace) -> int:
-    from repro.service import run_serve_sim
+    from repro.service import gate_exit, run_serve_sim
 
     report = run_serve_sim(
         n_chips=args.chips,
@@ -455,6 +455,8 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         fault_chip=None if args.fault_chip < 0 else args.fault_chip,
         fault_failed_reads=args.fault_reads,
         clients=args.clients,
+        max_nominal_frr=args.max_nominal_frr,
+        min_corner_availability=args.min_corner_availability,
         report_path=args.report,
         audit_path=args.audit,
         progress=print,
@@ -472,27 +474,12 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     print(f"breaker: opened={report.breaker_opened} "
           f"recovered={report.breaker_recovered}")
     print(f"no challenge replayed: {report.no_replay}")
-    failures = []
-    if not report.no_replay:
-        failures.append("challenge replay detected")
-    if report.nominal_frr > args.max_nominal_frr:
-        failures.append(
-            f"nominal FRR {report.nominal_frr:.1%} > "
-            f"{args.max_nominal_frr:.1%}"
-        )
-    if report.corner_availability < args.min_corner_availability:
-        failures.append(
-            f"corner availability {report.corner_availability:.1%} < "
-            f"{args.min_corner_availability:.1%}"
-        )
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return gate_exit(report)
 
 
 def _cmd_lifecycle_sim(args: argparse.Namespace) -> int:
     from repro.faults import FaultPlan, FaultSpec, Site
-    from repro.service import LifecycleConfig, run_lifecycle_sim
+    from repro.service import LifecycleConfig, gate_exit, run_lifecycle_sim
 
     config = LifecycleConfig(
         n_chips=args.chips,
@@ -550,136 +537,27 @@ def _cmd_lifecycle_sim(args: argparse.Namespace) -> int:
         print(f"fleet plane: {fleet['n_shards']} shards, "
               f"min coverage {fleet['min_coverage']:.3f}, "
               f"events {fleet['events']}")
-    failures = [
-        f"{name}: {gate['value']} vs bound {gate['bound']}"
-        for name, gate in report.gates.items()
-        if not gate["ok"]
-    ]
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return gate_exit(report)
 
 
 def _cmd_serve_shards(args: argparse.Namespace) -> int:
-    import json as json_module
-    from pathlib import Path
+    from repro.service import gate_exit, run_serve_shards
 
-    from repro.core.server import AuthenticationServer
-    from repro.faults import FaultPlan, FaultSpec, Site
-    from repro.service.fleet import FleetConfig, ShardDispatcher
-    from repro.silicon.chip import fabricate_lot
-
-    lot = fabricate_lot(args.chips, args.n_pufs, args.n_stages,
-                        seed=args.seed + 160)
-    server = AuthenticationServer()
-    for index, chip in enumerate(lot):
-        server.enroll(chip, seed=args.seed + 161 + index,
-                      n_enroll_challenges=1200,
-                      n_validation_challenges=5000)
-    print(f"enrolled {args.chips} chips; partitioning into "
-          f"{args.shards} shard(s)")
-
-    faults = None
-    if args.chaos:
-        # Request 1 kills whoever serves shard 0 mid-query; the next
-        # spawn generation of shard 1's worker stalls its heartbeat.
-        # Both must be detected, restarted, and healed.
-        faults = FaultPlan([
-            FaultSpec(Site.SHARD_SCORE, kind="crash", at=0, fail_attempts=2),
-            FaultSpec(Site.SHARD_SCORE, kind="hang", at=1, fail_attempts=3,
-                      seconds=max(30.0, 4 * args.request_timeout)),
-        ])
-
-    config = FleetConfig(
+    report = run_serve_shards(
+        n_chips=args.chips,
+        n_xors=args.n_pufs,
+        n_stages=args.n_stages,
         n_shards=args.shards,
+        batches=args.batches,
         n_challenges=args.n_challenges,
+        chaos=args.chaos,
         request_timeout=args.request_timeout,
-        heartbeat_timeout=max(1.0, args.request_timeout / 2),
+        clients=args.clients,
+        seed=args.seed,
+        report_path=args.report,
+        progress=print,
     )
-    wrong = 0
-    batches = []
-    frontend_stats = None
-    with ShardDispatcher(server, config, seed=args.seed + 173,
-                         faults=faults) as dispatcher:
-        print(f"fleet up: {dispatcher.shard_states()}")
-        frontend = None
-        if args.clients:
-            from repro.service import (
-                AuthenticationService,
-                BatchingFrontend,
-                FrontendConfig,
-                ServiceConfig,
-            )
-
-            # The full serving stack: concurrent client submissions ->
-            # micro-batching front end -> service -> dispatcher
-            # submit/flush -> shard round-trip.  Under --chaos this is
-            # the degraded-not-wrong contract exercised end to end.
-            service = AuthenticationService(
-                server, ServiceConfig(n_challenges=args.n_challenges),
-                seed=args.seed + 173,
-            )
-            service.attach_fleet(dispatcher)
-            frontend = BatchingFrontend(
-                service,
-                FrontendConfig(
-                    max_batch=args.clients,
-                    max_pending=max(4 * args.clients, 64),
-                ),
-            )
-            print(f"micro-batching front end: {args.clients} "
-                  f"concurrent clients")
-        for batch in range(args.batches):
-            if frontend is not None:
-                futures = [frontend.submit_identify(chip) for chip in lot]
-                results = [future.result() for future in futures]
-            else:
-                results = dispatcher.identify_many(lot)
-            hits = sum(
-                1 for chip, r in zip(lot, results)
-                if r.chip_id == chip.chip_id
-            )
-            wrong += sum(
-                1 for chip, r in zip(lot, results)
-                if r.chip_id is not None and r.chip_id != chip.chip_id
-            )
-            coverage = min(r.coverage for r in results)
-            batches.append({"batch": batch, "hits": hits,
-                            "coverage": coverage})
-            print(f"batch {batch}: {hits}/{len(lot)} identified, "
-                  f"coverage {coverage:.3f}")
-        if frontend is not None:
-            frontend_stats = frontend.stats
-            frontend.close()
-        final_coverage = batches[-1]["coverage"] if batches else 0.0
-        status = dispatcher.status()
-    print(f"events: {status['events']}")
-    failures = []
-    if wrong:
-        failures.append(f"{wrong} WRONG identification(s)")
-    if final_coverage < 1.0:
-        failures.append(f"final coverage {final_coverage:.3f} < 1.0")
-    report = {
-        "chips": args.chips,
-        "shards": args.shards,
-        "batches": batches,
-        "chaos": args.chaos,
-        "clients": args.clients,
-        "frontend": frontend_stats,
-        "wrong_identifications": wrong,
-        "final_coverage": final_coverage,
-        "fleet": status,
-        "passed": not failures,
-    }
-    if args.report:
-        Path(args.report).write_text(
-            json_module.dumps(report, indent=2, default=float) + "\n",
-            encoding="utf-8",
-        )
-        print(f"serve report -> {args.report}")
-    for failure in failures:
-        print(f"FAIL: {failure}", file=sys.stderr)
-    return 1 if failures else 0
+    return gate_exit(report)
 
 
 def _cmd_revoke(args: argparse.Namespace) -> int:

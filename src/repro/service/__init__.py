@@ -23,15 +23,16 @@ compromising the zero-HD protocol's no-replay invariant.
   state machines;
 * :mod:`repro.service.budget` -- never-used challenge-pool accounting;
 * :mod:`repro.service.events` -- structured audit events;
-* :mod:`repro.service.simulation` -- the ``serve-sim`` traffic replay
-  (drifting V/T schedule, injected faults, reliability report);
-* :mod:`repro.service.lifecycle` -- the fleet-lifecycle chaos driver
-  (enrollment churn, aging-driven retighten storms, revocation waves,
-  persistence chaos, gated acceptance report);
 * :mod:`repro.service.fleet` -- the supervised sharded identification
   plane (shared-memory codebook shards, heartbeat supervision,
   degraded partial-coverage serving that survives worker death
-  mid-query).
+  mid-query);
+* :mod:`repro.service.scenario` -- the one scenario runner: a seeded
+  population, traffic through the service (sequential or front-end
+  waves), injected faults and a gated report.  ``serve-sim`` (drifting
+  V/T, a flaky radio), ``lifecycle-sim`` (churn, aging storms,
+  revocation waves, persistence chaos) and ``serve-shards`` (worker
+  chaos under the shard fleet) are its presets.
 """
 
 from repro.service.budget import ChallengeBudget, PoolExhaustedError
@@ -46,11 +47,6 @@ from repro.service.fleet import (
 from repro.service.drift import DriftMonitor, DriftPolicy, MAX_RUNG
 from repro.service.events import AuditLog, AuthEvent, AuthOutcome, challenge_digests
 from repro.service.frontend import BatchingFrontend, FrontendConfig
-from repro.service.lifecycle import (
-    LifecycleConfig,
-    LifecycleReport,
-    run_lifecycle_sim,
-)
 from repro.service.resilience import BreakerState, CircuitBreaker, RateLimiter
 from repro.service.service import (
     PROTOCOL_STUDY_CONFIG,
@@ -58,10 +54,13 @@ from repro.service.service import (
     ServiceConfig,
     ServiceResult,
 )
-from repro.service.simulation import (
-    SimReport,
+from repro.service.scenario import (
+    LifecycleConfig,
+    ScenarioReport,
     VirtualClock,
-    drift_schedule,
+    gate_exit,
+    run_lifecycle_sim,
+    run_serve_shards,
     run_serve_sim,
 )
 
@@ -82,7 +81,6 @@ __all__ = [
     "FleetOutcome",
     "FrontendConfig",
     "LifecycleConfig",
-    "LifecycleReport",
     "MAX_RUNG",
     "OverloadError",
     "PROTOCOL_STUDY_CONFIG",
@@ -90,11 +88,12 @@ __all__ = [
     "RateLimiter",
     "ShardDispatcher",
     "ServiceConfig",
+    "ScenarioReport",
     "ServiceResult",
-    "SimReport",
     "VirtualClock",
     "challenge_digests",
-    "drift_schedule",
+    "gate_exit",
     "run_lifecycle_sim",
+    "run_serve_shards",
     "run_serve_sim",
 ]

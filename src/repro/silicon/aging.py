@@ -134,9 +134,9 @@ def age_lot(
     rather than its position -- so a fleet that churns (chips enrolled
     and revoked mid-life) keeps every device on a *consistent* aging
     trajectory: aging ``chip-3`` to 2000 h always yields the same part,
-    whatever else joined or left the lot.  Used by the fleet-lifecycle
-    driver (:mod:`repro.service.lifecycle`) to advance a simulated
-    deployment one tick at a time.
+    whatever else joined or left the lot.  The ``lifecycle-sim`` preset
+    (:func:`repro.service.scenario.run_lifecycle_sim`) keys its per-tick
+    aging by chip id the same way.
     """
     return [
         age_chip(chip, hours, model, derive_generator(seed, "lot", chip.chip_id))

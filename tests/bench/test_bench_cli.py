@@ -34,8 +34,7 @@ def {case}_cell(ctx):
 @pytest.fixture(autouse=True)
 def _isolated_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_DIR", str(tmp_path / "sandbox-bench"))
-    for var in ("REPRO_SCALE", "REPRO_FULL_SCALE", "REPRO_JOBS",
-                "REPRO_CHUNK_SIZE"):
+    for var in ("REPRO_SCALE", "REPRO_JOBS", "REPRO_CHUNK_SIZE"):
         monkeypatch.delenv(var, raising=False)
 
 

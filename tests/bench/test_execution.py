@@ -19,6 +19,7 @@ from repro.bench import (
     load_trajectory,
     record_result,
     run_cell,
+    run_for_test,
 )
 from repro.bench.schema import results_dir, trajectory_path
 
@@ -161,6 +162,22 @@ class TestRecordResult:
         merged = load_trajectory(trajectory_path())
         assert merged["cells"]["other:cell"] == {"samples": [1.0]}
         assert result.cell_id in merged["cells"]
+
+    def test_pytest_entry_point_leaves_committed_files_alone(self, monkeypatch):
+        # A bench's pytest run must not rewrite the committed baselines;
+        # only `repro-puf bench run` records.
+        case, _ = counting_case(trajectory=True, warmup=0)
+        registry = Matrix()
+        registry.register(case)
+        monkeypatch.setattr("repro.bench.execution.matrix", registry)
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
+        results = results_dir() / "synthetic.json"
+        results.parent.mkdir(parents=True)
+        results.write_text('{"committed": true}\n')
+        trajectory_path().write_text('{"schema_version": 2, "cells": {}}\n')
+        before = results.read_bytes(), trajectory_path().read_bytes()
+        run_for_test("synthetic")
+        assert (results.read_bytes(), trajectory_path().read_bytes()) == before
 
     def test_other_schema_is_refused(self):
         # A flat pre-matrix file has no schema_version; it is not read

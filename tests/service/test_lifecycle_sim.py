@@ -32,8 +32,6 @@ class TestLifecycleSmoke:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="ticks"):
             LifecycleConfig(ticks=0)
-        with pytest.raises(ValueError, match="storm betas"):
-            LifecycleConfig(storm_beta0=1.5)
 
     def test_quick_life_passes_gates(self, tmp_path):
         report = run_lifecycle_sim(QUICK, seed=11, workdir=tmp_path / "db")
@@ -76,6 +74,22 @@ class TestLifecycleSmoke:
         assert stats["shed"] == 0
         assert stats["batches"] > 0
         assert stats["submitted"] > 0
+
+    def test_sharded_plane_under_concurrent_clients(self):
+        # Inline shards refresh and re-layout under churn, revocation
+        # and a retighten storm while the front end coalesces traffic.
+        config = LifecycleConfig(n_chips=4, ticks=6, sharded=True, clients=4)
+        report = run_lifecycle_sim(config, seed=7)
+        assert report.passed, report.gates
+        assert report.no_replay
+        assert report.revoked_approvals == 0
+        assert report.revoked_identify_hits == 0
+        fleet = report.params["fleet"]
+        assert fleet["min_coverage"] == 1.0
+        assert fleet["events"].get("shard-relayout", 0) > 0
+        stats = report.params["frontend"]
+        assert stats["shed"] == 0
+        assert 0 < stats["batches"] < stats["submitted"]
 
 
 @pytest.mark.chaos

@@ -93,6 +93,25 @@ class TestCommands:
         assert "no challenge replayed: True" in out
         assert report.exists()
 
+    @pytest.mark.parametrize(
+        "command, unmeetable",
+        [
+            (["serve-sim", "--chips", "2", "--nominal-steps", "8",
+              "--ramp-steps", "24", "--corner-steps", "8",
+              "--return-steps", "4", "--fault-chip", "-1"],
+             ["--min-corner-availability", "1.01"]),
+            (["lifecycle-sim", "--chips", "3", "--ticks", "3",
+              "--requests-per-chip", "2"],
+             ["--min-availability", "1.01"]),
+        ],
+        ids=["serve-sim", "lifecycle-sim"],
+    )
+    def test_gate_exit_codes(self, capsys, command, unmeetable):
+        assert main(command) == 0
+        assert "FAIL:" not in capsys.readouterr().err
+        assert main(command + unmeetable) == 1
+        assert "FAIL:" in capsys.readouterr().err
+
     def test_revoke_round_trip(self, capsys, tmp_path):
         db = tmp_path / "db"
         assert main(

@@ -44,7 +44,6 @@ def _timed(fn, *args, **kwargs):
     metric="engine_crps_per_sec",
     unit="crps/s",
     direction="higher",
-    backends=("numpy", "numba"),
     trajectory=True,
     gated=True,
     warmup=0,  # the body warms the engine internally on 1000 challenges
@@ -56,7 +55,7 @@ def soft_sweep_cell(ctx):
     engine = EvaluationEngine(jobs=ctx.jobs, chunk_size=ctx.chunk_size or 65_536)
     n_crps = n_challenges * N_PUFS
 
-    # Warm imports, BLAS thread pools and the JIT; the best of three
+    # Warm imports and BLAS thread pools; the best of three
     # full sweeps also leaves the allocator warm.
     engine.soft_responses(xor_puf.pufs, challenges[:1000], PAPER_N_TRIALS, seed=0)
     t_engine = best_of(

@@ -2,10 +2,10 @@
 
 The paper's claims are measurement claims; this package makes the
 repo's own performance claims measurable the same way.  One registry
-(:data:`matrix`) enumerates benchmark x scale-tier x jobs x
-kernel-backend cells; one execution layer runs warmup + K timed
-samples per cell and records robust statistics (min/median/MAD) plus
-environment provenance under a versioned schema; and
+(:data:`matrix`) enumerates benchmark x scale-tier x jobs cells; one
+execution layer runs warmup + K timed samples per cell and records
+robust statistics (min/median/MAD) plus environment provenance under a
+versioned schema; and
 :mod:`repro.bench.variance` gates new runs against the committed
 ``BENCH_throughput.json`` trajectory with statistical thresholds
 instead of single-run point ratios.

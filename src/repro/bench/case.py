@@ -2,9 +2,11 @@
 
 A :class:`BenchmarkCase` is one benchmark body plus its scale-tier
 parameter sets and gating metadata.  A *cell* is one concrete point of
-the matrix -- case x tier x jobs x kernel backend -- identified by a
-stable string id (``soft_sweep:smoke:j1:numpy``) that keys the
-committed trajectory in ``BENCH_throughput.json``.
+the matrix -- case x tier x jobs -- identified by a stable string id
+(``soft_sweep:smoke:j1:numpy``) that keys the committed trajectory in
+``BENCH_throughput.json``.  The id's last field names the kernel
+implementation (:func:`repro.kernels.current_backend_name`), which is
+always ``numpy``; it stays so recorded ids keep matching.
 
 Bench modules register cases on the module-level :data:`matrix`
 registry::
@@ -34,6 +36,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
+from repro.kernels import current_backend_name
+
 from .scale import DEFAULT_SAMPLES, TIERS
 
 __all__ = ["BenchmarkCase", "CellContext", "Matrix", "matrix", "cell_id"]
@@ -53,7 +57,10 @@ class CellContext:
     params: Mapping[str, Any]
     jobs: int = 1
     chunk_size: Optional[int] = None
-    backend: str = "numpy"
+
+    @property
+    def backend(self) -> str:
+        return current_backend_name()
 
     @property
     def cell_id(self) -> str:
@@ -82,7 +89,6 @@ class BenchmarkCase:
     direction: str = "lower"
     samples: Optional[Mapping[str, int]] = None
     warmup: int = 1
-    backends: Optional[Tuple[str, ...]] = None
     trajectory: bool = False
     gated: bool = False
     title: str = ""

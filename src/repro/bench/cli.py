@@ -10,7 +10,7 @@ versioned artifacts.
 
     repro-puf bench list
     repro-puf bench run --tier smoke
-    repro-puf bench run soft_sweep identify_scale --backend numba
+    repro-puf bench run soft_sweep identify_scale
     repro-puf bench run --tier smoke --compare      # gate while running
     repro-puf bench compare run.json                # gate a saved run
 """
@@ -80,10 +80,6 @@ def add_bench_subparser(sub: argparse._SubParsersAction) -> None:
                     help="case names to run (default: every registered case)")
     rp.add_argument("--tier", choices=TIERS, default=None,
                     help="scale tier (default: REPRO_SCALE / laptop)")
-    rp.add_argument("--backend", action="append", default=None,
-                    metavar="NAME",
-                    help="kernel backend(s) to run backend-split cells on "
-                         "(repeatable; unavailable backends are skipped)")
     rp.add_argument("--samples", type=int, default=None,
                     help="timed samples per cell (default: tier policy)")
     rp.add_argument("--output", metavar="PATH", default=None,
@@ -173,11 +169,10 @@ def _cmd_list(args: argparse.Namespace) -> int:
             flags.append("gated")
         elif case.trajectory:
             flags.append("trajectory")
-        backends = ",".join(case.backends) if case.backends else "current"
         params = dict(case.params_for(tier))
         print(
             f"  {case.name:<28} metric={case.metric} ({case.direction} "
-            f"is better, {case.unit}) backends={backends} "
+            f"is better, {case.unit}) "
             f"samples@{tier}={case.samples_for(tier)}"
             + (f" [{' '.join(flags)}]" if flags else "")
         )
@@ -201,7 +196,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         run = run_matrix(
             names=args.cases or None,
             tier=args.tier,
-            backends=args.backend,
             samples=args.samples,
             progress=print,
             record=not args.no_record,
@@ -209,7 +203,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
-    if not run["cells"] and not run["skipped"]:
+    if not run["cells"]:
         print("error: no cells matched the request", file=sys.stderr)
         return 2
     if args.output:

@@ -1,10 +1,9 @@
 """Execution layer of the benchmark matrix.
 
-One code path runs every cell the same way -- resolve the kernel
-backend, run the warmup, collect K timed samples, summarize them
-robustly, stamp environment provenance, and write the versioned
-artifacts -- so no bench script ever hand-rolls a timing loop or a
-JSON shape again.
+One code path runs every cell the same way -- run the warmup, collect
+K timed samples, summarize them robustly, stamp environment
+provenance, and write the versioned artifacts -- so no bench script
+ever hand-rolls a timing loop or a JSON shape again.
 """
 
 from __future__ import annotations
@@ -108,33 +107,11 @@ class CellResult:
         ]
 
 
-@contextlib.contextmanager
-def _pinned_backend(requested: Optional[str]):
-    """Pin the kernel backend for one cell, restoring it afterwards.
-
-    Yields the active backend name.  Restoration matters in matrix
-    runs: a cell that pins ``numba`` must not silently change which
-    backend the *next* cell's "current backend" resolves to.
-    """
-    from repro.kernels import current_backend_name, set_backend
-
-    previous = current_backend_name()
-    if requested and requested != "auto" and requested != previous:
-        set_backend(requested)
-        try:
-            yield current_backend_name()
-        finally:
-            set_backend(previous)
-    else:
-        yield previous
-
-
 def run_cell(
     case: BenchmarkCase,
     tier: Optional[str] = None,
     jobs: Optional[int] = None,
     chunk_size: Optional[int] = None,
-    backend: Optional[str] = None,
     samples: Optional[int] = None,
 ) -> CellResult:
     """Execute one cell: warmup + K timed samples + robust stats.
@@ -148,46 +125,44 @@ def run_cell(
     tier = tier or active_tier()
     jobs = engine_jobs() if jobs is None else jobs
     chunk_size = engine_chunk_size() if chunk_size is None else chunk_size
-    with _pinned_backend(backend) as backend_name:
-        context = CellContext(
-            case=case.name,
-            tier=tier,
-            params=case.params_for(tier),
-            jobs=jobs,
-            chunk_size=chunk_size,
-            backend=backend_name,
-        )
-        n_samples = case.samples_for(tier) if samples is None else max(1, samples)
+    context = CellContext(
+        case=case.name,
+        tier=tier,
+        params=case.params_for(tier),
+        jobs=jobs,
+        chunk_size=chunk_size,
+    )
+    n_samples = case.samples_for(tier) if samples is None else max(1, samples)
 
-        start = time.perf_counter()
-        for _ in range(case.warmup):
-            case.fn(context)
+    start = time.perf_counter()
+    for _ in range(case.warmup):
+        case.fn(context)
 
-        metric_samples: List[float] = []
-        payload: Dict[str, Any] = {}
-        for _ in range(n_samples):
-            t0 = time.perf_counter()
-            payload = dict(case.fn(context) or {})
-            elapsed = time.perf_counter() - t0
-            payload.setdefault("elapsed_seconds", elapsed)
-            if case.metric == "elapsed_seconds":
-                payload["elapsed_seconds"] = elapsed
-            if case.metric not in payload:
-                raise KeyError(
-                    f"cell {context.cell_id}: payload is missing the "
-                    f"declared metric {case.metric!r} "
-                    f"(keys: {sorted(payload)})"
-                )
-            metric_samples.append(float(payload[case.metric]))
+    metric_samples: List[float] = []
+    payload: Dict[str, Any] = {}
+    for _ in range(n_samples):
+        t0 = time.perf_counter()
+        payload = dict(case.fn(context) or {})
+        elapsed = time.perf_counter() - t0
+        payload.setdefault("elapsed_seconds", elapsed)
+        if case.metric == "elapsed_seconds":
+            payload["elapsed_seconds"] = elapsed
+        if case.metric not in payload:
+            raise KeyError(
+                f"cell {context.cell_id}: payload is missing the "
+                f"declared metric {case.metric!r} "
+                f"(keys: {sorted(payload)})"
+            )
+        metric_samples.append(float(payload[case.metric]))
 
-        return CellResult(
-            case=case,
-            context=context,
-            samples=metric_samples,
-            stats=sample_stats(metric_samples),
-            payload=payload,
-            seconds=time.perf_counter() - start,
-        )
+    return CellResult(
+        case=case,
+        context=context,
+        samples=metric_samples,
+        stats=sample_stats(metric_samples),
+        payload=payload,
+        seconds=time.perf_counter() - start,
+    )
 
 
 def record_result(result: CellResult, update_trajectory: bool = True) -> None:
@@ -216,61 +191,29 @@ def run_matrix(
     names: Optional[Sequence[str]] = None,
     tier: Optional[str] = None,
     jobs: Optional[int] = None,
-    backends: Optional[Sequence[str]] = None,
     samples: Optional[int] = None,
     progress: Optional[Callable[[str], None]] = None,
     record: bool = True,
 ) -> Dict[str, Any]:
-    """Run a slice of the matrix and return a v2 run document.
-
-    ``backends`` expands each case across kernel backends it declares
-    (intersected with the request); unavailable backends are skipped
-    with a note rather than failing the run.
-    """
-    from repro.kernels import BackendUnavailableError
-
+    """Run a slice of the matrix and return a v2 run document."""
     tier = tier or active_tier()
     cells: Dict[str, Any] = {}
-    skipped: List[str] = []
     for case in matrix.select(names):
-        case_backends: Sequence[Optional[str]]
-        if backends:
-            case_backends = [
-                b for b in backends
-                if case.backends is None or b in case.backends
-            ]
-            if not case_backends:
-                continue
-        elif case.backends is not None:
-            case_backends = list(case.backends)
-        else:
-            case_backends = [None]
-        for backend in case_backends:
-            try:
-                result = run_cell(
-                    case, tier=tier, jobs=jobs, backend=backend,
-                    samples=samples,
-                )
-            except BackendUnavailableError as exc:
-                skipped.append(f"{case.name}[{backend}]: {exc}")
-                if progress:
-                    progress(f"skip {case.name}: {exc}")
-                continue
-            if record:
-                record_result(result)
-            cells[result.cell_id] = result.entry()
-            if progress:
-                stats = result.stats
-                progress(
-                    f"ran {result.cell_id}: {case.metric} "
-                    f"{stats['median']:.6g} {case.unit} "
-                    f"(n={stats['n']}, MAD {stats['mad']:.2g})"
-                )
+        result = run_cell(case, tier=tier, jobs=jobs, samples=samples)
+        if record:
+            record_result(result)
+        cells[result.cell_id] = result.entry()
+        if progress:
+            stats = result.stats
+            progress(
+                f"ran {result.cell_id}: {case.metric} "
+                f"{stats['median']:.6g} {case.unit} "
+                f"(n={stats['n']}, MAD {stats['mad']:.2g})"
+            )
     return {
         "schema_version": SCHEMA_VERSION,
         "tier": tier,
         "cells": cells,
-        "skipped": skipped,
         "env": environment_metadata(),
     }
 

@@ -1,9 +1,9 @@
 """Shared timing primitives and robust sample statistics.
 
 These replace the min-of-k loops that used to be copy-pasted across
-``bench_kernels.py``, ``bench_codebook_sync.py`` and
-``bench_identify_scale.py``: one vocabulary for "time this callable
-honestly" and one for "summarize these samples robustly".
+``bench_codebook_sync.py`` and ``bench_identify_scale.py``: one
+vocabulary for "time this callable honestly" and one for "summarize
+these samples robustly".
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from repro.attacks.mlp import MlpClassifier
 from repro.core.enrollment import enroll_chip
 from repro.core.server import AuthenticationServer
 from repro.crp.challenges import random_challenges
-from repro.kernels import BackendUnavailableError, set_backend
 from repro.silicon.aging import AgingModel, age_chip
 from repro.silicon.chip import PufChip
 from repro.silicon.environment import paper_corner_grid
@@ -90,13 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-size", type=_positive_int_arg("--chunk-size"), default=None,
         help="challenges per evaluation-engine chunk "
              "(bounds peak memory; default 65536)",
-    )
-    parser.add_argument(
-        "--kernel-backend", choices=("numpy", "numba", "auto"), default=None,
-        help="kernel backend for the hot loops: numba (JIT-fused, "
-             "requires the [fast] extra), numpy (always available), or "
-             "auto-detect; defaults to the REPRO_KERNEL_BACKEND "
-             "environment variable / auto-detection",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -668,12 +660,6 @@ _COMMANDS = {
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.kernel_backend is not None:
-        try:
-            set_backend(args.kernel_backend)
-        except BackendUnavailableError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     return _COMMANDS[args.command](args)
 
 

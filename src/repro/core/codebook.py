@@ -66,7 +66,6 @@ import numpy as np
 
 from repro.core.enrollment import EnrollmentRecord
 from repro.core.selection import ChallengeSelector
-from repro.kernels import get_backend
 from repro.utils.rng import derive_generator
 from repro.utils.validation import check_positive_int
 
@@ -184,11 +183,8 @@ def packed_match_fractions(
         Float64 agreement fractions with the last (byte) axis reduced:
         exactly ``(n_challenges - hamming_distance) / n_challenges``.
 
-    On a kernel backend that provides compiled packed scorers
-    (:mod:`repro.kernels`), the two serving-hot shapes -- row-aligned
-    pairs and the request-grid-vs-codebook matrix -- run through a
-    parallel XOR + popcount kernel; everything else XORs and popcounts
-    ``uint64`` word views (``use_lut=True`` counts bytes through the
+    Distances XOR and popcount ``uint64`` word views (``use_lut=True``,
+    or a numpy without ``bitwise_count``, counts bytes through the
     lookup table).  Distances are integers either way, so the scores
     are bit-identical.
     """
@@ -210,33 +206,7 @@ def packed_match_fractions(
 def _packed_distances(
     a: np.ndarray, b: np.ndarray, *, use_lut: bool
 ) -> np.ndarray:
-    """Broadcast Hamming distances (int64) with kernel-backend dispatch."""
-    if not use_lut and a.size:
-        backend = get_backend()
-        if (
-            backend.packed_score_rows is not None
-            and a.ndim == 2
-            and a.shape == b.shape
-        ):
-            out = np.empty(a.shape[0], dtype=np.int64)
-            backend.packed_score_rows(
-                np.ascontiguousarray(a), np.ascontiguousarray(b), out
-            )
-            return out
-        if backend.packed_score_matrix is not None:
-            codebook = b[0] if (b.ndim == 3 and b.shape[0] == 1) else b
-            if (
-                a.ndim == 3
-                and codebook.ndim == 2
-                and a.shape[1:] == codebook.shape
-            ):
-                out = np.empty(a.shape[:2], dtype=np.int64)
-                backend.packed_score_matrix(
-                    np.ascontiguousarray(a),
-                    np.ascontiguousarray(codebook),
-                    out,
-                )
-                return out
+    """Broadcast Hamming distances (int64) of packed rows."""
     if use_lut or not _HAVE_BITWISE_COUNT:
         xored = np.bitwise_xor(a, b)
         return popcount(xored, use_lut=True).sum(axis=-1, dtype=np.int64)

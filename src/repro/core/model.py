@@ -39,7 +39,6 @@ from typing import List, Sequence
 import numpy as np
 from scipy import special
 
-from repro import kernels
 from repro.crp.transform import parity_features
 from repro.utils.validation import as_challenge_array
 
@@ -104,10 +103,9 @@ class LinearPufModel:
 
     def _link(self, score: np.ndarray) -> np.ndarray:
         if self.method == "probit":
-            # The backend's ndtr kernel: identical to stats.norm.cdf on
-            # the numpy backend, jitted on numba.  This is the link the
+            # The kernel behind stats.norm.cdf.  This is the link the
             # selectors' classification sweeps run through.
-            return kernels.ndtr(np.asarray(score, dtype=np.float64))
+            return special.ndtr(np.asarray(score, dtype=np.float64))
         if self.method == "mle":
             return special.expit(score)
         return score

@@ -22,7 +22,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels import get_backend
 from repro.utils.validation import as_challenge_array
 
 __all__ = [
@@ -89,9 +88,8 @@ def parity_features(
         suffix product ``prod_{j>=i} (1 - 2 c_j)`` and the final column is
         the constant 1.
 
-    The fill runs on the active kernel backend
-    (:mod:`repro.kernels`); every backend produces bit-identical
-    output here, because all products are over exact +/-1 values.
+    The fill is the packed suffix-XOR :func:`_parity_fill`, bit-identical
+    to the reversed cumprod over signed bits.
     """
     challenges = as_challenge_array(challenges, validate=validate)
     n, k = challenges.shape
@@ -102,6 +100,44 @@ def parity_features(
             f"out must be a float64 array of shape ({n}, {k + 1}), got "
             f"{out.dtype} {out.shape}"
         )
-    get_backend().parity_fill(np.ascontiguousarray(challenges), out)
+    _parity_fill(np.ascontiguousarray(challenges), out)
     return out
+
+
+def _parity_fill(challenges: np.ndarray, out: np.ndarray) -> None:
+    """Parity features from packed suffix-XOR words into *out*.
+
+    ``phi[:, i] = prod_{j >= i} (1 - 2 c_j) = 1 - 2 (c_i ^ ... ^ c_{k-1})``,
+    so the fill computes suffix parities on bit-packed rows.  Each row
+    is packed MSB-first into big-endian 64-bit words (bit ``i`` of the
+    string is ``c_i``, zero-padded past ``k``), and ``log2 k`` steps of
+    ``words ^= words << s`` (carrying across word boundaries) leave bit
+    ``i`` holding the parity of bits ``i .. i + 2s - 1``: the whole
+    suffix once ``2s >= k``.  The bias column ``k`` unpacks as padding,
+    parity 0.  One contiguous write maps each parity bit ``b`` to
+    ``1 - 2b``; every value is an exact +/-1, so the result equals the
+    reversed cumprod over signed bits bit for bit.
+    """
+    n, k = challenges.shape
+    n_words = -(-k // 64)
+    packed = np.zeros((n, 8 * n_words), dtype=np.uint8)
+    packed[:, : -(-k // 8)] = np.packbits(challenges, axis=1)
+    words = packed.view(">u8").astype(np.uint64)
+    shift = 1
+    while shift < k:
+        whole, part = divmod(shift, 64)
+        if part:
+            moved = words << np.uint64(part)
+            moved[:, :-1] |= words[:, 1:] >> np.uint64(64 - part)
+        else:
+            moved = words[:, whole:]
+        words[:, : n_words - whole] ^= moved
+        shift *= 2
+    # unpackbits zero-pads past the last word when k is a multiple of 64.
+    signs = np.unpackbits(
+        words.astype(">u8").view(np.uint8), axis=1, count=k + 1
+    ).view(np.int8)
+    signs *= -2
+    signs += 1
+    np.copyto(out, signs)
 

@@ -46,11 +46,6 @@ from repro.engine.runtime import (
 )
 from repro.engine.worker import RNG_BLOCK, evaluate_chunk, noise_free_chunk
 from repro.faults import FaultPlan
-from repro.kernels import (
-    BACKEND_NAMES,
-    current_backend_name,
-    resolve_backend,
-)
 from repro.silicon.arbiter import ArbiterPuf
 from repro.silicon.environment import NOMINAL_CONDITION, OperatingCondition
 from repro.silicon.xorpuf import XorArbiterPuf
@@ -101,17 +96,6 @@ class EvaluationEngine:
     faults:
         Optional :class:`~repro.faults.FaultPlan` for failure-path
         testing; production runs leave it ``None`` and pay nothing.
-    kernel_backend:
-        Kernel backend for the sweep's hot loops: ``"numpy"``,
-        ``"numba"`` or ``None`` (default) for the process-wide selection
-        policy of :mod:`repro.kernels`.  Whatever it resolves to is
-        shipped *by name* into every chunk call, so pool workers always
-        use the same backend as the driving process; each worker loads
-        and JIT-warms it once.  The backend is an execution detail, not
-        part of a campaign's identity: checkpoints written under one
-        backend resume under another (counter values can differ only
-        through ULP-level probability differences -- see
-        :mod:`repro.kernels`).
     """
 
     jobs: Optional[int] = 1
@@ -119,7 +103,6 @@ class EvaluationEngine:
     retry: RetryPolicy = DEFAULT_RETRY
     checkpoint_dir: Optional[Union[str, Path]] = None
     faults: Optional[FaultPlan] = None
-    kernel_backend: Optional[str] = None
     #: Failure/recovery trail of the most recent sweep (read-only).
     last_report: Optional[CampaignReport] = dataclasses.field(
         default=None, repr=False, compare=False
@@ -138,15 +121,6 @@ class EvaluationEngine:
             )
         if self.checkpoint_dir is not None:
             object.__setattr__(self, "checkpoint_dir", Path(self.checkpoint_dir))
-        backend = self.kernel_backend
-        if backend == "auto":
-            backend = None
-        if backend is not None and backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown kernel backend {backend!r}; choose from "
-                f"{BACKEND_NAMES + ('auto',)}"
-            )
-        object.__setattr__(self, "kernel_backend", backend)
 
     # ------------------------------------------------------------------
     # Core counter sweep
@@ -378,20 +352,6 @@ class EvaluationEngine:
             return np.random.SeedSequence(0)
         return derive_seed_sequence(seed, "engine")
 
-    def _resolve_backend(self) -> Tuple[str, bool]:
-        """``(name, fused)`` of the backend this sweep will run on.
-
-        Resolution happens once per sweep in the driving process --
-        misconfiguration (an explicitly requested backend that is not
-        installed) fails here, before any chunk is dispatched -- and the
-        concrete name is what gets shipped to pool workers, so the
-        parent's policy wins over any environment drift in the pool.
-        Resolving also pays the (idempotent) JIT warm-up for the inline
-        and serial-fallback paths.
-        """
-        name = self.kernel_backend or current_backend_name()
-        return name, resolve_backend(name).fused
-
     def _chunk_bounds(self, n: int) -> List[_Bounds]:
         return [
             (start, min(start + self.chunk_size, n))
@@ -423,10 +383,9 @@ class EvaluationEngine:
     ) -> Iterator[Tuple[_Bounds, np.ndarray]]:
         """Yield ``((start, stop), counts)`` per chunk, fault-tolerantly."""
         bounds = self._chunk_bounds(len(challenges))
-        backend_name, fused = self._resolve_backend()
         phi_buf = (
             self._feature_buffer(bounds, pufs[0].n_stages)
-            if self.jobs == 1 and not fused
+            if self.jobs == 1
             else None
         )
         dtype = np.float64 if method == "analytic" else np.int64
@@ -449,7 +408,6 @@ class EvaluationEngine:
                 chunk_index,
                 attempt,
                 in_worker,
-                backend_name,
             )
             return evaluate_chunk, args
 
@@ -497,10 +455,9 @@ class EvaluationEngine:
         condition: OperatingCondition,
     ) -> Iterator[Tuple[_Bounds, np.ndarray]]:
         bounds = self._chunk_bounds(len(challenges))
-        backend_name, fused = self._resolve_backend()
         phi_buf = (
             self._feature_buffer(bounds, pufs[0].n_stages)
-            if self.jobs == 1 and not fused
+            if self.jobs == 1
             else None
         )
         n_pufs = len(pufs)
@@ -518,7 +475,6 @@ class EvaluationEngine:
                 chunk_index,
                 attempt,
                 in_worker,
-                backend_name,
             )
             return noise_free_chunk, args
 

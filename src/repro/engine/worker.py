@@ -27,8 +27,7 @@ import numpy as np
 
 from repro.crp.transform import parity_features
 from repro.faults import FaultPlan, Site
-from repro.kernels import resolve_backend
-from repro.silicon.arbiter import ArbiterPuf, stack_fused_params
+from repro.silicon.arbiter import ArbiterPuf
 from repro.silicon.environment import OperatingCondition
 
 __all__ = ["RNG_BLOCK", "block_generator", "evaluate_chunk", "noise_free_chunk"]
@@ -71,16 +70,12 @@ def evaluate_chunk(
     chunk_index: int = 0,
     attempt: int = 0,
     in_worker: bool = False,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Evaluate one block-aligned chunk of challenges.
 
-    On the numpy backend the parity feature matrix is computed **once**
-    and shared across all PUFs and all conditions -- ``phi(c)`` depends
-    only on the challenge, which is the engine's central saving over the
-    per-PUF legacy path.  A fused backend (numba) goes further: the
-    challenge -> parity -> delta -> ndtr chain runs in a single compiled
-    pass per challenge and ``phi`` is never materialised at all.
+    The parity feature matrix is computed **once** and shared across all
+    PUFs and all conditions -- ``phi(c)`` depends only on the challenge,
+    which is the engine's central saving over the per-PUF legacy path.
 
     Parameters
     ----------
@@ -114,13 +109,6 @@ def evaluate_chunk(
     in_worker:
         Whether this call runs inside a process-pool worker (lets
         ``pool_only`` faults spare the serial fallback path).
-    backend:
-        Kernel backend name resolved by the parent engine (``None``
-        resolves through the process-wide selection policy).  Pool
-        workers receive the parent's concrete choice here, so a
-        ``set_backend`` call (or CLI flag) in the driving process
-        governs the whole pool.  The backend is loaded and JIT-warmed
-        once per worker process, not per chunk.
 
     Returns
     -------
@@ -133,13 +121,12 @@ def evaluate_chunk(
             Site.ENGINE_CHUNK, chunk_index, attempt=attempt, in_worker=in_worker
         )
     n = len(challenges)
-    kb = resolve_backend(backend)
     dtype = np.float64 if method == "analytic" else np.int64
     out = np.empty((len(conditions), len(pufs), n), dtype=dtype)
-    probabilities = _grid_probabilities(kb, pufs, challenges, conditions, phi_out)
-    for ci in range(len(conditions)):
-        for pi in range(len(pufs)):
-            p = probabilities[ci, pi]
+    phi = parity_features(challenges, out=phi_out, validate=False)
+    for ci, condition in enumerate(conditions):
+        for pi, puf in enumerate(pufs):
+            p = puf.response_probability_from_features(phi, condition)
             if method == "analytic":
                 out[ci, pi] = p
                 continue
@@ -154,37 +141,6 @@ def evaluate_chunk(
     return out
 
 
-def _grid_probabilities(
-    kb,
-    pufs: Sequence[ArbiterPuf],
-    challenges: np.ndarray,
-    conditions: Sequence[OperatingCondition],
-    phi_out: Optional[np.ndarray],
-) -> np.ndarray:
-    """``(n_conditions, n_pufs, n)`` exact 1-probabilities for one chunk.
-
-    The fused path never materialises ``phi``; the shared-phi path is
-    the seed code verbatim (bit-identical on the numpy backend).
-    """
-    n = len(challenges)
-    if kb.fused and kb.grid_soft_probabilities is not None:
-        weights, quads, has_quad, gains, sigmas = stack_fused_params(
-            pufs, conditions
-        )
-        flat = np.empty((weights.shape[0], n), dtype=np.float64)
-        kb.grid_soft_probabilities(
-            np.ascontiguousarray(challenges), weights, quads, has_quad,
-            gains, sigmas, flat,
-        )
-        return flat.reshape(len(conditions), len(pufs), n)
-    phi = parity_features(challenges, out=phi_out, validate=False)
-    out = np.empty((len(conditions), len(pufs), n), dtype=np.float64)
-    for ci, condition in enumerate(conditions):
-        for pi, puf in enumerate(pufs):
-            out[ci, pi] = puf.response_probability_from_features(phi, condition)
-    return out
-
-
 def noise_free_chunk(
     pufs: Sequence[ArbiterPuf],
     challenges: np.ndarray,
@@ -194,33 +150,16 @@ def noise_free_chunk(
     chunk_index: int = 0,
     attempt: int = 0,
     in_worker: bool = False,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
-    """``(n_pufs, n)`` noise-free responses for one chunk.
-
-    Shared-phi on the numpy backend; one fused challenge -> parity ->
-    sign pass per challenge on a fused backend (see :func:`evaluate_chunk`
-    for the *backend* parameter's semantics).
-    """
+    """``(n_pufs, n)`` noise-free responses for one chunk, shared phi."""
     if faults is not None:
         faults.check(
             Site.ENGINE_CHUNK, chunk_index, attempt=attempt, in_worker=in_worker
         )
-    kb = resolve_backend(backend)
-    if kb.fused and kb.grid_noise_free is not None:
-        weights, quads, has_quad, gains, _ = stack_fused_params(
-            pufs, [condition]
-        )
-        out = np.empty((len(pufs), len(challenges)), dtype=np.int8)
-        kb.grid_noise_free(
-            np.ascontiguousarray(challenges), weights, quads, has_quad,
-            gains, out,
-        )
-    else:
-        phi = parity_features(challenges, out=phi_out, validate=False)
-        out = np.stack(
-            [puf.noise_free_response_from_features(phi, condition) for puf in pufs]
-        )
+    phi = parity_features(challenges, out=phi_out, validate=False)
+    out = np.stack(
+        [puf.noise_free_response_from_features(phi, condition) for puf in pufs]
+    )
     if faults is not None:
         out = faults.corrupt(
             Site.ENGINE_RESULT, out, chunk_index, attempt=attempt, in_worker=in_worker

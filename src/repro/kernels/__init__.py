@@ -1,62 +1,23 @@
-"""``repro.kernels`` -- runtime-dispatched implementations of the hot kernels.
+"""``repro.kernels`` -- the name of the kernel implementation in use.
 
-The four kernels every large campaign spends its time in -- the parity
-feature transform, arbiter/XOR delta evaluation, the ndtr soft-response
-kernel and the packed XOR + popcount scorer -- are served by a backend
-selected at runtime:
+Every hot kernel has exactly one implementation, called directly: the
+parity fill in :mod:`repro.crp.transform`, :func:`scipy.special.ndtr`
+in :mod:`repro.silicon.noise` and :mod:`repro.core.model`, and the
+packed XOR + popcount scorer in :mod:`repro.core.codebook`.  With one
+implementation, installing a package cannot change the counter values
+a seed produces.
 
-* ``numpy`` (always available): the vectorized reference, bit-identical
-  to the seed code path.
-* ``numba`` (``pip install repro[fast]``): JIT-compiled *fused* kernels
-  -- challenge -> parity -> dot-product -> response in one pass per
-  chunk, with the feature matrix never materialised for
-  evaluation-only callers, plus a parallel packed scorer.
-
-Select with :func:`set_backend`, the ``REPRO_KERNEL_BACKEND``
-environment variable, the engine's ``kernel_backend`` field or the CLI
-``--kernel-backend`` flag; auto-detection prefers numba when installed.
-
-Correctness contract (enforced by ``tests/kernels``): integer/bit
-kernels are bit-identical across backends; float kernels produce
-identical hard responses and probabilities within a documented ULP
-bound of the numpy path (see :mod:`repro.kernels._impl`).
+:func:`current_backend_name` stays because benchmark records carry it:
+``perfbench/run.py`` imports it for its environment block, and the
+bench matrix's record ``backend`` field and cell ids (``...:numpy``)
+keep its value.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.kernels.backend import (
-    BACKEND_ENV_VAR,
-    BACKEND_NAMES,
-    BackendUnavailableError,
-    KernelBackend,
-    available_backends,
-    current_backend_name,
-    get_backend,
-    resolve_backend,
-    set_backend,
-)
-
-__all__ = [
-    "BACKEND_ENV_VAR",
-    "BACKEND_NAMES",
-    "BackendUnavailableError",
-    "KernelBackend",
-    "available_backends",
-    "current_backend_name",
-    "get_backend",
-    "ndtr",
-    "resolve_backend",
-    "set_backend",
-]
+__all__ = ["current_backend_name"]
 
 
-def ndtr(x: np.ndarray) -> np.ndarray:
-    """Standard normal CDF through the active backend.
-
-    The numpy backend forwards to :func:`scipy.special.ndtr`; the numba
-    backend runs the jitted elementwise kernel (relative error <= 1e-13
-    of scipy over the full range, <= ~32 ULP for ``|x| <= 6``).
-    """
-    return get_backend().ndtr(np.asarray(x, dtype=np.float64))
+def current_backend_name() -> str:
+    """Name of the kernel implementation: always ``"numpy"``."""
+    return "numpy"

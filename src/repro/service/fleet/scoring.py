@@ -9,8 +9,8 @@ The math mirrors :meth:`AuthenticationServer.identify_many`'s pass
 exactly:
 
 * distances are integer Hamming counts from the same packed XOR +
-  popcount kernel dispatch (:func:`repro.core.codebook._packed_distances`
-  with the row-aligned request-grid shape), so equal match fractions
+  popcount scorer (:func:`repro.core.codebook._packed_distances` with
+  the row-aligned request-grid shape), so equal match fractions
   are equal integers;
 * tombstoned rows are masked with a sentinel distance
   ``n_challenges + 1`` -- strictly worse than any real row, exactly as
@@ -45,8 +45,8 @@ def shard_distances(
     *packed_queries* is the ``(n_queries, n_rows, n_bytes)`` slice of
     the batch's packed responses covering this shard's rows;
     *packed_rows* is the shard's ``(n_rows, n_bytes)`` packed matrix.
-    Same kernel dispatch as the single-process ``match_packed`` pass, so
-    the integers are identical on any backend.
+    Same scorer as the single-process ``match_packed`` pass, so the
+    integers are identical.
     """
     queries = np.asarray(packed_queries, dtype=np.uint8)
     rows = np.asarray(packed_rows, dtype=np.uint8)

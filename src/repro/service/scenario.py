@@ -771,9 +771,10 @@ def run_lifecycle_sim(
     part stays on one trajectory); a storm may re-tighten the whole
     fleet, and drift-flagged chips are re-tightened once; the active
     fleet authenticates, a few chips are identified through the
-    (possibly stale) codebook, and revoked devices keep knocking; then
-    maintenance drains codebook rebuilds and, with *workdir*, saves and
-    reloads the database.
+    (possibly stale) codebook, and revoked devices keep knocking (one
+    authentication and one identification burst, both served and
+    audited by the service); then maintenance drains codebook rebuilds
+    and, with *workdir*, saves and reloads the database.
 
     Parameters
     ----------
@@ -929,15 +930,18 @@ def run_lifecycle_sim(
                 tally["stale_served_ticks"] += served_stale > 0
 
             revoked_ids = sorted(server.revocations)[:3]
-            revoked_results = run.serve("auth", [aged[c] for c in revoked_ids])
-            for chip_id, result in zip(revoked_ids, revoked_results):
+            revoked_devices = [aged[c] for c in revoked_ids]
+            for result in run.serve("auth", revoked_devices):
                 tally["revoked_probes"] += 1
                 if result.outcome is AuthOutcome.APPROVED:
                     tally["revoked_approvals"] += 1
                 else:
                     tally["revoked_denials"] += 1
-                if server.identify(aged[chip_id]).chip_id == chip_id:
-                    tally["revoked_identify_hits"] += 1
+            sweep = run.serve("identify", revoked_devices)
+            tally["revoked_identify_hits"] += sum(
+                result.chip_id == chip_id
+                for chip_id, result in zip(revoked_ids, sweep)
+            )
 
             if maintenance_ok:
                 try:

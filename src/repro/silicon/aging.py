@@ -33,7 +33,7 @@ from repro.silicon.xorpuf import XorArbiterPuf
 from repro.utils.rng import SeedLike, derive_generator
 from repro.utils.validation import check_in_range
 
-__all__ = ["AgingModel", "age_puf", "age_chip", "age_lot"]
+__all__ = ["AgingModel", "age_puf", "age_chip"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,24 +121,3 @@ def age_chip(
         aged.blow_fuses()
     return aged
 
-
-def age_lot(
-    chips,
-    hours: float,
-    model: Optional[AgingModel] = None,
-    seed: SeedLike = None,
-) -> list:
-    """Age a whole lot to the same operational age (one call per tick).
-
-    Each chip ages along its own direction, keyed by its ``chip_id``
-    rather than its position -- so a fleet that churns (chips enrolled
-    and revoked mid-life) keeps every device on a *consistent* aging
-    trajectory: aging ``chip-3`` to 2000 h always yields the same part,
-    whatever else joined or left the lot.  The ``lifecycle-sim`` preset
-    (:func:`repro.service.scenario.run_lifecycle_sim`) keys its per-tick
-    aging by chip id the same way.
-    """
-    return [
-        age_chip(chip, hours, model, derive_generator(seed, "lot", chip.chip_id))
-        for chip in chips
-    ]

@@ -45,7 +45,7 @@ from repro.silicon.noise import NoiseModel, calibrate_noise_sigma
 from repro.utils.rng import SeedLike, as_generator, derive_generator
 from repro.utils.validation import as_challenge_array, check_positive_int
 
-__all__ = ["ArbiterPuf", "DEFAULT_NONLINEARITY", "stack_fused_params"]
+__all__ = ["ArbiterPuf", "DEFAULT_NONLINEARITY"]
 
 #: Default second-order model-error level: std-dev of the stage-interaction
 #: delay term as a fraction of the linear delay spread.  Chosen so the
@@ -307,23 +307,6 @@ class ArbiterPuf:
             self.__dict__["_interaction_q"] = q
         return self.__dict__["_interaction_q"]
 
-    def fused_eval_params(
-        self, condition: OperatingCondition = NOMINAL_CONDITION
-    ) -> tuple:
-        """``(effective_weights, interaction_q, gain, sigma)`` at *condition*.
-
-        The flat parameter tuple the fused kernel backends consume (see
-        :func:`stack_fused_params`); everything is read from the same
-        caches the phi-based evaluation paths use, so fused and
-        materialised evaluation see identical physics.
-        """
-        return (
-            self.effective_weights(condition),
-            self.interaction_matrix,
-            self.environment.delay_gain(condition),
-            self.noise.sigma_at(condition),
-        )
-
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
@@ -436,45 +419,3 @@ class ArbiterPuf:
         p = self.response_probability(challenges, condition)
         return rng.binomial(n_trials, p).astype(np.int64)
 
-
-def stack_fused_params(pufs, conditions) -> tuple:
-    """Stack per-(condition, PUF) physics into the fused-kernel layout.
-
-    Returns ``(weights, quads, has_quad, gains, sigmas)`` where the
-    leading axis enumerates the ``conditions x pufs`` grid in row-major
-    order (condition outer, PUF inner -- the same order the engine's
-    output grid uses):
-
-    * ``weights``: ``(P, k + 1)`` effective weight rows,
-    * ``quads``: ``(P, k + 1, k + 1)`` stage-interaction quadratic
-      forms (zero rows where a PUF is ideally linear),
-    * ``has_quad``: ``(P,)`` bool mask saying which rows carry one,
-    * ``gains``: ``(P,)`` delay gains scaling the interaction term,
-    * ``sigmas``: ``(P,)`` per-row noise sigmas.
-
-    Consumed by the fused kernels in :mod:`repro.kernels` (see
-    :meth:`ArbiterPuf.fused_eval_params` for the per-cell source).
-    """
-    pufs = list(pufs)
-    conditions = list(conditions)
-    if not pufs:
-        raise ValueError("need at least one PUF to stack parameters")
-    k1 = len(pufs[0].weights)
-    n_rows = len(conditions) * len(pufs)
-    weights = np.empty((n_rows, k1), dtype=np.float64)
-    quads = np.zeros((n_rows, k1, k1), dtype=np.float64)
-    has_quad = np.zeros(n_rows, dtype=np.bool_)
-    gains = np.empty(n_rows, dtype=np.float64)
-    sigmas = np.empty(n_rows, dtype=np.float64)
-    row = 0
-    for condition in conditions:
-        for puf in pufs:
-            effective, q, gain, sigma = puf.fused_eval_params(condition)
-            weights[row] = effective
-            if q is not None:
-                quads[row] = q
-                has_quad[row] = True
-            gains[row] = gain
-            sigmas[row] = sigma
-            row += 1
-    return weights, quads, has_quad, gains, sigmas

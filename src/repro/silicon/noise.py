@@ -25,9 +25,8 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize, special, stats
 
-from repro import kernels
 from repro.silicon.environment import EnvironmentModel, NOMINAL_CONDITION, OperatingCondition
 from repro.utils.validation import check_in_range, check_positive_int
 
@@ -158,10 +157,9 @@ class NoiseModel:
     ) -> np.ndarray:
         """``Pr(response = 1)`` for delay differences *delta* at *condition*.
 
-        Runs :func:`repro.kernels.ndtr` -- the active backend's normal
-        CDF kernel (``scipy.special.ndtr`` on the numpy backend, the
-        jitted elementwise kernel on numba).  This sits on the
-        per-evaluation hot path.
+        Runs :func:`scipy.special.ndtr`, the kernel behind
+        ``stats.norm.cdf``, without its argument checks.  This sits on
+        the per-evaluation hot path.
         """
         delta = np.asarray(delta, dtype=np.float64)
-        return kernels.ndtr(delta / self.sigma_at(condition))
+        return special.ndtr(delta / self.sigma_at(condition))

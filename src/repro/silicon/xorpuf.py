@@ -22,8 +22,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.crp.transform import parity_features
-from repro.kernels import get_backend
-from repro.silicon.arbiter import ArbiterPuf, stack_fused_params
+from repro.silicon.arbiter import ArbiterPuf
 from repro.silicon.environment import (
     EnvironmentModel,
     NOMINAL_CONDITION,
@@ -169,27 +168,8 @@ class XorArbiterPuf:
         challenges: np.ndarray,
         condition: OperatingCondition = NOMINAL_CONDITION,
     ) -> np.ndarray:
-        """XOR of the constituents' noise-free responses.
-
-        On a fused kernel backend this runs the single-pass k-way XOR
-        kernel (challenge -> parity -> n deltas -> XOR of signs) without
-        ever materialising the feature matrix or the per-constituent
-        response stack; hard responses are identical to the shared-phi
-        path (the delta sums differ only at ULP level, far below the
-        sign decision for manufacturing-scale weights).
-        """
+        """XOR of the constituents' noise-free responses."""
         challenges = as_challenge_array(challenges, self.n_stages)
-        backend = get_backend()
-        if backend.fused and backend.xor_noise_free is not None:
-            weights, quads, has_quad, gains, _ = stack_fused_params(
-                self.pufs, [condition]
-            )
-            out = np.empty(challenges.shape[0], dtype=np.int8)
-            backend.xor_noise_free(
-                np.ascontiguousarray(challenges), weights, quads, has_quad,
-                gains, out,
-            )
-            return out
         phi = parity_features(challenges, validate=False)
         return self.noise_free_response_from_features(phi, condition)
 

@@ -1,108 +1,25 @@
-"""Cross-backend equivalence of the kernel implementations.
+"""The packed scorer's two popcount paths agree with the dense score.
 
-The loop kernels in :mod:`repro.kernels._impl` are plain Python until
-numba compiles them, so their semantics are verifiable on any
-environment: this suite drives the *same statements* the jitted
-backend executes against the vectorized numpy reference.  When numba is
-installed (the CI kernels job) the compiled functions are additionally
-checked against their pure-Python sources.
-
-Contract under test (see :mod:`repro.kernels._impl`):
-
-* parity transform and packed XOR + popcount scoring: bit-identical;
-* grid/XOR delta kernels: identical hard responses away from the
-  sequential-vs-BLAS summation slack, probabilities within a tight
-  relative bound;
-* ndtr: relative error <= 1e-13 against scipy over the full range,
-  <= 32 ULP for ``|x| <= 6``.
+:func:`repro.core.codebook.packed_match_fractions` counts bits with
+``numpy.bitwise_count`` over ``uint64`` words where numpy has it
+(>= 2.0) and through a per-byte lookup table otherwise (numpy 1.24-1.26,
+or ``use_lut=True``).  Distances are integers, so both paths must give
+exactly the dense fraction, empty batches included.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
-from scipy import special
+from hypothesis import given, settings, strategies as st
 
 from repro.core.codebook import pack_responses, packed_match_fractions
-from repro.crp.transform import parity_features
-from repro.kernels import _impl, available_backends, numpy_backend, resolve_backend
-from repro.silicon.arbiter import ArbiterPuf, stack_fused_params
-from repro.silicon.environment import NOMINAL_CONDITION, OperatingCondition
-from repro.silicon.noise import NoiseModel
 
-#: Summation-order slack: hard responses are only compared where the
-#: delta magnitude exceeds this fraction of the accumulated term
-#: magnitude (below it, sequential and pairwise summation may disagree
-#: on the sign of a value that is numerically zero).
-_SIGN_GUARD = 64 * np.finfo(np.float64).eps
-
-# The autouse backend-state fixture in conftest is save/restore only
-# (nothing mutates per example), so the function-scoped-fixture health
-# check does not apply.
-_SETTINGS = settings(
-    max_examples=25,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-
-_CONDITIONS = [NOMINAL_CONDITION, OperatingCondition(voltage=0.8, temperature=60.0)]
+_SETTINGS = settings(max_examples=25, deadline=None)
 
 
-# ----------------------------------------------------------------------
-# Strategies
-# ----------------------------------------------------------------------
 def _bit_matrix(draw, n, k):
     bits = draw(st.lists(st.integers(0, 1), min_size=n * k, max_size=n * k))
     return np.array(bits, dtype=np.int8).reshape(n, k)
-
-
-@st.composite
-def challenge_matrices(draw, max_n=33, max_k=12):
-    """(n, k) 0/1 int8 matrices, including empty and odd shapes."""
-    n = draw(st.integers(0, max_n))
-    k = draw(st.integers(1, max_k))
-    return _bit_matrix(draw, n, k)
-
-
-@st.composite
-def banks_with_challenges(draw, max_pufs=10, max_k=6, max_n=21):
-    """A bank of 1..max_pufs ArbiterPufs plus width-matched challenges.
-
-    PUFs are constructed directly (no noise calibration) so hypothesis
-    examples stay cheap; roughly half the instances carry a
-    stage-interaction term so both branches of the fused kernels are
-    exercised.  Challenge counts include 0 and odd values.
-    """
-    k = draw(st.integers(1, max_k))
-    n_pufs = draw(st.integers(1, max_pufs))
-    finite = st.floats(-4.0, 4.0, allow_nan=False)
-    pufs = []
-    for _ in range(n_pufs):
-        weights = np.array(draw(st.lists(finite, min_size=k + 1, max_size=k + 1)))
-        kwargs = {}
-        if k >= 2 and draw(st.booleans()):
-            m = draw(st.integers(1, 3))
-            pairs = [
-                draw(
-                    st.lists(
-                        st.integers(0, k - 1), min_size=2, max_size=2, unique=True
-                    )
-                )
-                for _ in range(m)
-            ]
-            kwargs = {
-                "interaction_indices": np.array(pairs, dtype=np.intp),
-                "interaction_weights": np.array(
-                    draw(st.lists(finite, min_size=m, max_size=m))
-                ),
-            }
-        sigma = draw(st.floats(0.05, 2.0))
-        pufs.append(
-            ArbiterPuf(weights=weights, noise=NoiseModel(sigma=sigma), **kwargs)
-        )
-    challenges = _bit_matrix(draw, draw(st.integers(0, max_n)), k)
-    return pufs, challenges
 
 
 @st.composite
@@ -111,163 +28,6 @@ def packed_pairs(draw, max_rows=6, max_bits=37):
     rows = draw(st.integers(0, max_rows))
     n_bits = draw(st.integers(1, max_bits))
     return _bit_matrix(draw, rows, n_bits), _bit_matrix(draw, rows, n_bits), n_bits
-
-
-# ----------------------------------------------------------------------
-# Reference paths (the pre-kernel object/BLAS pipeline)
-# ----------------------------------------------------------------------
-def _phi(pufs, challenges):
-    if len(challenges) == 0:
-        return np.empty((0, pufs[0].n_stages + 1))
-    return parity_features(challenges)
-
-
-def _reference_probabilities(pufs, challenges, conditions):
-    phi = _phi(pufs, challenges)
-    out = np.empty((len(conditions), len(pufs), len(challenges)))
-    for ci, condition in enumerate(conditions):
-        for pi, puf in enumerate(pufs):
-            out[ci, pi] = puf.response_probability_from_features(phi, condition)
-    return out
-
-
-def _reference_deltas(pufs, challenges, conditions):
-    phi = _phi(pufs, challenges)
-    out = np.empty((len(conditions), len(pufs), len(challenges)))
-    for ci, condition in enumerate(conditions):
-        for pi, puf in enumerate(pufs):
-            out[ci, pi] = puf.delay_difference_from_features(phi, condition)
-    return out
-
-
-def _sign_safe_mask(pufs, deltas, conditions):
-    """Cells whose delta magnitude is safely above the summation slack.
-
-    ``|phi| = 1`` everywhere, so the accumulated term magnitude is
-    bounded by the L1 norm of the effective weights plus the scaled
-    interaction weights.
-    """
-    magnitude = np.zeros_like(deltas)
-    for ci, condition in enumerate(conditions):
-        for pi, puf in enumerate(pufs):
-            bound = np.abs(puf.effective_weights(condition)).sum()
-            if puf.interaction_weights is not None:
-                gain = puf.environment.delay_gain(condition)
-                bound += gain * np.abs(puf.interaction_weights).sum()
-            magnitude[ci, pi, :] = bound
-    return np.abs(deltas) > _SIGN_GUARD * np.maximum(magnitude, 1.0)
-
-
-# ----------------------------------------------------------------------
-# Parity transform: bit-identical
-# ----------------------------------------------------------------------
-@_SETTINGS
-@given(challenges=challenge_matrices())
-def test_parity_loop_matches_vectorized(challenges):
-    n, k = challenges.shape
-    loop = np.empty((n, k + 1))
-    ref = np.empty((n, k + 1))
-    _impl.parity_fill(challenges, loop)
-    numpy_backend._parity_fill(challenges, ref)
-    np.testing.assert_array_equal(loop, ref)
-
-
-# ----------------------------------------------------------------------
-# ndtr: documented scipy agreement
-# ----------------------------------------------------------------------
-@_SETTINGS
-@given(xs=st.lists(st.floats(-35.0, 35.0, allow_nan=False), max_size=40))
-def test_ndtr_scalar_relative_error(xs):
-    for x in xs:
-        ours = _impl.ndtr_scalar(x)
-        ref = float(special.ndtr(x))
-        assert abs(ours - ref) <= 1e-13 * ref
-
-
-def test_ndtr_central_region_ulp_bound():
-    x = np.linspace(-6.0, 6.0, 20_001)
-    ours = np.array([_impl.ndtr_scalar(v) for v in x])
-    ref = special.ndtr(x)
-    ulps = np.abs(ours - ref) / np.spacing(ref)
-    assert ulps.max() <= 32
-
-
-def test_ndtr_fill_matches_scalar():
-    x = np.linspace(-8.0, 8.0, 257)
-    out = np.empty_like(x)
-    _impl.ndtr_fill(x, out)
-    np.testing.assert_array_equal(
-        out, np.array([_impl.ndtr_scalar(v) for v in x])
-    )
-
-
-# ----------------------------------------------------------------------
-# Fused grid kernels vs the object path
-# ----------------------------------------------------------------------
-@_SETTINGS
-@given(bank=banks_with_challenges())
-def test_grid_soft_probabilities_matches_object_path(bank):
-    pufs, challenges = bank
-    weights, quads, has_quad, gains, sigmas = stack_fused_params(pufs, _CONDITIONS)
-    fused = np.empty((weights.shape[0], len(challenges)))
-    _impl.grid_soft_probabilities(
-        challenges, weights, quads, has_quad, gains, sigmas, fused
-    )
-    fused = fused.reshape(len(_CONDITIONS), len(pufs), len(challenges))
-    ref = _reference_probabilities(pufs, challenges, _CONDITIONS)
-    np.testing.assert_allclose(fused, ref, rtol=1e-12, atol=1e-15)
-
-
-@_SETTINGS
-@given(bank=banks_with_challenges())
-def test_grid_and_xor_noise_free_match_object_path(bank):
-    pufs, challenges = bank
-    weights, quads, has_quad, gains, _ = stack_fused_params(pufs, [NOMINAL_CONDITION])
-    grid = np.empty((len(pufs), len(challenges)), dtype=np.int8)
-    _impl.grid_noise_free(challenges, weights, quads, has_quad, gains, grid)
-    xor = np.empty(len(challenges), dtype=np.int8)
-    _impl.xor_noise_free(challenges, weights, quads, has_quad, gains, xor)
-
-    # Internal consistency: the XOR kernel is exactly the XOR reduction
-    # of the grid kernel (identical delta arithmetic).
-    np.testing.assert_array_equal(xor, np.bitwise_xor.reduce(grid, axis=0))
-
-    # Against the BLAS object path: identical wherever the delta is
-    # safely away from the summation-order slack.
-    deltas = _reference_deltas(pufs, challenges, [NOMINAL_CONDITION])
-    ref = (deltas[0] > 0).astype(np.int8)
-    mask = _sign_safe_mask(pufs, deltas, [NOMINAL_CONDITION])[0]
-    np.testing.assert_array_equal(grid[mask], ref[mask])
-
-
-# ----------------------------------------------------------------------
-# Packed XOR + popcount scorers: bit-identical
-# ----------------------------------------------------------------------
-@_SETTINGS
-@given(pair=packed_pairs())
-def test_packed_score_rows_matches_reference(pair):
-    bits_a, bits_b, _ = pair
-    packed_a = np.packbits(bits_a.astype(np.uint8), axis=-1)
-    packed_b = np.packbits(bits_b.astype(np.uint8), axis=-1)
-    out = np.empty(len(packed_a), dtype=np.int64)
-    _impl.packed_score_rows(packed_a, packed_b, out)
-    np.testing.assert_array_equal(out, (bits_a != bits_b).sum(axis=-1))
-
-
-@_SETTINGS
-@given(pair=packed_pairs(max_rows=4), requests=st.integers(0, 3))
-def test_packed_score_matrix_matches_reference(pair, requests):
-    bits_a, _, _ = pair
-    matrix = np.packbits(bits_a.astype(np.uint8), axis=-1)
-    n_ids, n_bytes = matrix.shape
-    rng = np.random.default_rng(0)
-    responses = rng.integers(0, 256, size=(requests, n_ids, n_bytes), dtype=np.uint8)
-    out = np.empty((requests, n_ids), dtype=np.int64)
-    _impl.packed_score_matrix(responses, matrix, out)
-    expected = _impl.POPCOUNT_LUT[np.bitwise_xor(responses, matrix[None])].sum(
-        axis=-1, dtype=np.int64
-    )
-    np.testing.assert_array_equal(out, expected)
 
 
 @_SETTINGS
@@ -284,95 +44,3 @@ def test_match_fraction_dispatch_agrees_with_lut_and_dense(pair):
         np.testing.assert_array_equal(
             dispatched, (bits_a == bits_b).mean(axis=-1)
         )
-
-
-# ----------------------------------------------------------------------
-# Jitted backend vs its pure-Python source (CI kernels job)
-# ----------------------------------------------------------------------
-needs_numba = pytest.mark.skipif(
-    "numba" not in available_backends(), reason="numba not installed"
-)
-
-
-@needs_numba
-def test_jitted_parity_is_bit_identical():
-    backend = resolve_backend("numba")
-    rng = np.random.default_rng(1)
-    challenges = rng.integers(0, 2, size=(999, 32), dtype=np.int8)
-    jitted = np.empty((999, 33))
-    ref = np.empty((999, 33))
-    backend.parity_fill(challenges, jitted)
-    numpy_backend._parity_fill(challenges, ref)
-    np.testing.assert_array_equal(jitted, ref)
-
-
-@needs_numba
-def test_jitted_packed_scorers_are_bit_identical():
-    backend = resolve_backend("numba")
-    rng = np.random.default_rng(2)
-    a = rng.integers(0, 256, size=(41, 9), dtype=np.uint8)
-    b = rng.integers(0, 256, size=(41, 9), dtype=np.uint8)
-    jit_rows = np.empty(41, dtype=np.int64)
-    ref_rows = np.empty(41, dtype=np.int64)
-    backend.packed_score_rows(a, b, jit_rows)
-    _impl.packed_score_rows(a, b, ref_rows)
-    np.testing.assert_array_equal(jit_rows, ref_rows)
-
-    responses = rng.integers(0, 256, size=(5, 41, 9), dtype=np.uint8)
-    jit_m = np.empty((5, 41), dtype=np.int64)
-    ref_m = np.empty((5, 41), dtype=np.int64)
-    backend.packed_score_matrix(responses, a, jit_m)
-    _impl.packed_score_matrix(responses, a, ref_m)
-    np.testing.assert_array_equal(jit_m, ref_m)
-
-
-@needs_numba
-def test_jitted_grid_kernels_match_pure_python():
-    backend = resolve_backend("numba")
-    rng = np.random.default_rng(3)
-    pufs = [
-        ArbiterPuf(
-            weights=rng.normal(size=33),
-            noise=NoiseModel(sigma=0.1),
-            interaction_indices=np.array([[0, 5], [2, 9]], dtype=np.intp),
-            interaction_weights=rng.normal(size=2) * 0.05,
-        )
-        for _ in range(4)
-    ]
-    challenges = rng.integers(0, 2, size=(500, 32), dtype=np.int8)
-    weights, quads, has_quad, gains, sigmas = stack_fused_params(
-        pufs, [NOMINAL_CONDITION]
-    )
-    jit_soft = np.empty((4, 500))
-    ref_soft = np.empty((4, 500))
-    backend.grid_soft_probabilities(
-        challenges, weights, quads, has_quad, gains, sigmas, jit_soft
-    )
-    _impl.grid_soft_probabilities(
-        challenges, weights, quads, has_quad, gains, sigmas, ref_soft
-    )
-    # Same statement order; numba's libm may differ from CPython's at
-    # the last bit, so allow a whisper of slack.
-    np.testing.assert_allclose(jit_soft, ref_soft, rtol=1e-13, atol=1e-16)
-
-    jit_bits = np.empty((4, 500), dtype=np.int8)
-    ref_bits = np.empty((4, 500), dtype=np.int8)
-    backend.grid_noise_free(challenges, weights, quads, has_quad, gains, jit_bits)
-    _impl.grid_noise_free(challenges, weights, quads, has_quad, gains, ref_bits)
-    np.testing.assert_array_equal(jit_bits, ref_bits)
-
-    jit_xor = np.empty(500, dtype=np.int8)
-    backend.xor_noise_free(challenges, weights, quads, has_quad, gains, jit_xor)
-    np.testing.assert_array_equal(
-        jit_xor, np.bitwise_xor.reduce(ref_bits, axis=0)
-    )
-
-
-@needs_numba
-def test_jitted_ndtr_within_documented_bound():
-    backend = resolve_backend("numba")
-    x = np.linspace(-35.0, 35.0, 4001)
-    ours = backend.ndtr(x)
-    ref = special.ndtr(x)
-    mask = ref > 0
-    assert (np.abs(ours[mask] - ref[mask]) <= 1e-13 * ref[mask]).all()

@@ -1,6 +1,6 @@
 """The packed parity fill against the reversed-cumprod reference.
 
-The numpy backend computes ``phi`` from packed suffix-XOR words.  The
+``parity_features`` computes ``phi`` from packed suffix-XOR words.  The
 reference here is the straightforward product form it replaced: signed
 bits ``1 - 2 c`` reduced with a reversed cumulative product.  Both
 produce exact +/-1 values, so they must agree bit for bit at every
@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.crp.transform import parity_features
-from repro.kernels import numpy_backend
+from repro.crp.transform import _parity_fill, parity_features
 
 WIDTHS = (1, 2, 31, 32, 33, 63, 64, 65, 127, 128, 129, 200)
 ROWS = (0, 1, 63, 4095, 4096, 4097)
@@ -36,7 +35,7 @@ def test_packed_fill_matches_cumprod(n_stages, n_rows):
     rng = np.random.default_rng([n_stages, n_rows])
     challenges = rng.integers(0, 2, size=(n_rows, n_stages), dtype=np.int8)
     got = np.empty((n_rows, n_stages + 1))
-    numpy_backend._parity_fill(challenges, got)
+    _parity_fill(challenges, got)
     assert got.tobytes() == cumprod_parity(challenges).tobytes()
 
 

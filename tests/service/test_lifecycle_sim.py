@@ -11,7 +11,8 @@ import dataclasses
 import pytest
 
 from repro.faults import FaultPlan, FaultSpec, Site
-from repro.service import LifecycleConfig, run_lifecycle_sim
+from repro.service import AuthOutcome, LifecycleConfig, run_lifecycle_sim
+from repro.service.scenario import Scenario
 
 pytestmark = [pytest.mark.service]
 
@@ -90,6 +91,33 @@ class TestLifecycleSmoke:
         stats = report.params["frontend"]
         assert stats["shed"] == 0
         assert 0 < stats["batches"] < stats["submitted"]
+
+    def test_every_identification_is_audited(self, monkeypatch):
+        # The per-tick probes and the revoked devices' identify sweeps
+        # both go through the service, so the security record holds one
+        # identified/unidentified event per identification request.
+        audits = []
+        report_run = Scenario.report
+
+        def capture(self, *args, **kwargs):
+            audits.append(self.service.audit)
+            return report_run(self, *args, **kwargs)
+
+        monkeypatch.setattr(Scenario, "report", capture)
+        report = run_lifecycle_sim(LifecycleConfig(n_chips=4, ticks=6), seed=7)
+        assert report.passed, report.gates
+        (audit,) = audits
+        identify_events = [
+            event for event in audit
+            if event.outcome in (AuthOutcome.IDENTIFIED, AuthOutcome.UNIDENTIFIED)
+        ]
+        identify_requests = (
+            report.params["identified_hits"]
+            + report.params["identified_misses"]
+            + report.revoked_probes
+        )
+        assert report.revoked_probes > 0
+        assert len(identify_events) == identify_requests
 
 
 @pytest.mark.chaos

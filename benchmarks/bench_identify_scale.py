@@ -20,9 +20,7 @@ This benchmark measures that plane in absolute numbers:
 
 The codebook scores' bit-identity with the dense per-identity plane
 is pinned by the test suite (``tests/core/test_codebook.py``), not
-here.  A second cell, ``identify_sharded``, runs the same transcripts
-through the supervised shard fleet.  Run either via pytest or the
-matrix CLI::
+here.  Run it via pytest or the matrix CLI::
 
     pytest benchmarks/bench_identify_scale.py            # smoke-sized
     repro-puf bench run identify_scale --tier smoke
@@ -175,134 +173,6 @@ def measure_sweep(sweep: Sequence[int], gate_n: int) -> Dict[str, object]:
         "gate_identifies_per_sec": by_n[gate_n]["codebook_identifies_per_sec"],
         "series": series,
     }
-
-
-#: Timing repetitions for the sharded plane (each rep is a full batch).
-SHARDED_REPS = {100: 20, 1000: 10, 10_000: 3, 100_000: 1}
-SHARDED_BATCH = 16
-
-
-def measure_sharded(
-    n_identities: int, n_shards: int, batch_size: int = SHARDED_BATCH
-) -> Dict[str, float]:
-    """One population size through the supervised shard fleet.
-
-    Spawns real worker processes (the production topology, not inline
-    mode), verifies the merged batch is bit-identical to the
-    single-process ``identify_many`` on the same transcripts, then
-    times both paths.  The sharded plane pays per-request IPC --
-    shipping packed query slices to workers and merging replies -- so
-    its win over single-process serving only appears once per-shard
-    scoring dominates; at small N this cell is an *overhead* gauge and
-    the gated metric is simply sharded throughput staying put.
-    """
-    from repro.service.fleet import FleetConfig, ShardDispatcher
-
-    server, lot = build_population(n_identities)
-    book = server.codebook(N_CHALLENGES, seed=700)
-    transcripts = [
-        _ReplayResponder(
-            book.stacked_challenges,
-            np.asarray(chip.xor_response(book.stacked_challenges)),
-        )
-        for chip in lot
-    ]
-    replays = [transcripts[i % len(transcripts)] for i in range(batch_size)]
-    reference = server.identify_many(replays, n_challenges=N_CHALLENGES)
-
-    reps = SHARDED_REPS.get(n_identities, 3)
-    config = FleetConfig(
-        n_shards=n_shards,
-        n_challenges=N_CHALLENGES,
-        max_pending=max(64, batch_size),
-        request_timeout=120.0,
-    )
-    with ShardDispatcher(server, config, seed=700) as dispatcher:
-        merged = dispatcher.identify_many(replays)  # warm + verify
-        for ref, got in zip(reference, merged):
-            if (
-                got.coverage != 1.0
-                or ref.chip_id != got.chip_id
-                or ref.match_fraction != got.match_fraction
-            ):
-                raise AssertionError(
-                    f"sharded merge diverged at N={n_identities}: "
-                    f"{ref} != {got}"
-                )
-        start = time.perf_counter()
-        for _ in range(reps):
-            dispatcher.identify_many(replays)
-        t_sharded = (time.perf_counter() - start) / (reps * batch_size)
-
-    start = time.perf_counter()
-    for _ in range(reps):
-        server.identify_many(replays, n_challenges=N_CHALLENGES)
-    t_single = (time.perf_counter() - start) / (reps * batch_size)
-
-    return {
-        "n_identities": n_identities,
-        "n_shards": n_shards,
-        "batch_size": batch_size,
-        "sharded_seconds_per_identify": t_sharded,
-        "single_seconds_per_identify": t_single,
-        "sharded_identifies_per_sec": 1.0 / t_sharded,
-        "single_identifies_per_sec": 1.0 / t_single,
-        "ipc_overhead_ratio": t_sharded / t_single,
-    }
-
-
-def measure_sharded_sweep(
-    sweep: Sequence[int], n_shards: int, gate_n: int
-) -> Dict[str, object]:
-    """Sharded-vs-single series; gated on sharded throughput at *gate_n*."""
-    series = [measure_sharded(n, n_shards) for n in sweep]
-    by_n = {int(entry["n_identities"]): entry for entry in series}
-    return {
-        "shape": (
-            f"{N_BASE_CHIPS} base chips alias-scaled, {n_shards} shards, "
-            f"batches of {SHARDED_BATCH} transcripts"
-        ),
-        "sweep": list(sweep),
-        "n_shards": n_shards,
-        "gate_n": gate_n,
-        "gate_sharded_per_sec": by_n[gate_n]["sharded_identifies_per_sec"],
-        "series": series,
-    }
-
-
-@matrix.cell(
-    "identify_sharded",
-    title="Throughput -- supervised shard fleet vs single process",
-    tiers={
-        "smoke": {"sweep": [100], "gate_n": 100, "n_shards": 2},
-        "laptop": {"sweep": [100, 1000, 10_000], "gate_n": 10_000,
-                   "n_shards": 4},
-        "paper": {"sweep": [1000, 10_000, 100_000], "gate_n": 100_000,
-                  "n_shards": 8},
-    },
-    metric="gate_sharded_per_sec",
-    unit="ids/s",
-    direction="higher",
-    trajectory=True,
-    gated=True,
-    warmup=0,  # measure_sharded warms (and verifies) internally
-)
-def identify_sharded_cell(ctx):
-    return measure_sharded_sweep(
-        ctx.params["sweep"], ctx.params["n_shards"], ctx.params["gate_n"]
-    )
-
-
-def test_identify_sharded_smoke(capsys):
-    """Pytest entry: fleet bit-identity + throughput at smoke scale."""
-    run = run_for_test("identify_sharded", capsys, report=lambda r: [
-        f"  {entry['n_identities']:>6} ids x {entry['n_shards']} shards: "
-        f"sharded {entry['sharded_identifies_per_sec']:>9.1f}/s   single "
-        f"{entry['single_identifies_per_sec']:>9.1f}/s   ipc overhead "
-        f"{entry['ipc_overhead_ratio']:>5.2f}x"
-        for entry in r.payload["series"]
-    ])
-    assert run.payload["gate_sharded_per_sec"] > 0
 
 
 @matrix.cell(

@@ -17,10 +17,8 @@ from repro.analysis.protocol_design import (
     challenges_for_far,
     false_accept_rate,
     false_reject_rate,
-    max_tolerance_for_far,
 )
 from repro.analysis.metrics import (
-    bit_aliasing,
     inter_chip_hd,
     intra_chip_hd,
     reliability,
@@ -37,7 +35,6 @@ from repro.analysis.stability import (
 )
 from repro.analysis.statistics import (
     ExponentialDecayFit,
-    bootstrap_interval,
     fit_exponential_decay,
     wilson_interval,
 )
@@ -54,8 +51,6 @@ __all__ = [
     "challenges_for_far",
     "false_accept_rate",
     "false_reject_rate",
-    "max_tolerance_for_far",
-    "bit_aliasing",
     "inter_chip_hd",
     "intra_chip_hd",
     "reliability",
@@ -68,7 +63,6 @@ __all__ = [
     "summarize_soft_responses",
     "xor_stable_fraction",
     "ExponentialDecayFit",
-    "bootstrap_interval",
     "fit_exponential_decay",
     "wilson_interval",
 ]

@@ -10,8 +10,7 @@ Unclonable Functions"):
 * **reliability** -- 1 minus the intra-chip Hamming distance between a
   reference readout and re-evaluations (ideal 1.0);
 * **uniqueness** -- mean pairwise inter-chip Hamming distance over the
-  same challenges (ideal 0.5);
-* **bit aliasing** -- per-challenge bias across chips (ideal 0.5 each).
+  same challenges (ideal 0.5).
 
 All functions operate on plain {0, 1} response arrays so they apply to
 single PUFs, XOR PUFs and model predictions alike.
@@ -31,7 +30,6 @@ __all__ = [
     "reliability",
     "inter_chip_hd",
     "uniqueness",
-    "bit_aliasing",
 ]
 
 
@@ -104,9 +102,3 @@ def inter_chip_hd(responses_by_chip: np.ndarray) -> np.ndarray:
 def uniqueness(responses_by_chip: np.ndarray) -> float:
     """Mean pairwise inter-chip Hamming distance (ideal 0.5)."""
     return float(inter_chip_hd(responses_by_chip).mean())
-
-
-def bit_aliasing(responses_by_chip: np.ndarray) -> np.ndarray:
-    """Per-challenge fraction of chips answering 1 (each ideal 0.5)."""
-    resp = _check_responses(responses_by_chip, "responses_by_chip", 2)
-    return resp.mean(axis=0)

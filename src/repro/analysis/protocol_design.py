@@ -33,7 +33,6 @@ __all__ = [
     "false_accept_rate",
     "false_reject_rate",
     "challenges_for_far",
-    "max_tolerance_for_far",
 ]
 
 
@@ -102,24 +101,3 @@ def challenges_for_far(
         else:
             low = mid + 1
     return int(low)
-
-
-def max_tolerance_for_far(
-    n_challenges: int,
-    target_far: float,
-    impostor_match_probability: float = 0.5,
-) -> Optional[int]:
-    """Largest mismatch budget still meeting *target_far* with n challenges.
-
-    Returns ``None`` when even zero tolerance misses the target (too few
-    challenges).
-    """
-    n = check_positive_int(n_challenges, "n_challenges")
-    target = check_probability(target_far, "target_far")
-    best: Optional[int] = None
-    for tolerance in range(0, n + 1):
-        if false_accept_rate(n, tolerance, impostor_match_probability) <= target:
-            best = tolerance
-        else:
-            break
-    return best

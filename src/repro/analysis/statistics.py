@@ -1,25 +1,21 @@
 """Small statistical helpers shared by analyses and benchmarks.
 
 Everything here is deliberately dependency-light: Wilson score
-intervals for the many proportion estimates in the reproduction, a
-log-linear exponential-decay fit for the 0.800**n-style curves, and a
-bootstrap confidence interval for derived statistics.
+intervals for the many proportion estimates in the reproduction and a
+log-linear exponential-decay fit for the 0.800**n-style curves.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Tuple
+from typing import Tuple
 
 import numpy as np
-
-from repro.utils.rng import SeedLike, as_generator
 
 __all__ = [
     "wilson_interval",
     "ExponentialDecayFit",
     "fit_exponential_decay",
-    "bootstrap_interval",
 ]
 
 
@@ -95,28 +91,4 @@ def fit_exponential_decay(
         base=float(np.exp(slope)),
         amplitude=float(np.exp(intercept)),
         residual_rms=float(np.sqrt(np.mean(residuals**2))),
-    )
-
-
-def bootstrap_interval(
-    values: np.ndarray,
-    statistic: Callable[[np.ndarray], float] = np.mean,
-    *,
-    n_resamples: int = 2000,
-    confidence: float = 0.95,
-    seed: SeedLike = None,
-) -> Tuple[float, float]:
-    """Percentile bootstrap confidence interval for *statistic*."""
-    values = np.asarray(values)
-    if values.ndim != 1 or len(values) == 0:
-        raise ValueError("values must be a non-empty 1-D array")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    rng = as_generator(seed)
-    indices = rng.integers(0, len(values), size=(n_resamples, len(values)))
-    stats = np.array([statistic(values[row]) for row in indices])
-    alpha = (1.0 - confidence) / 2.0
-    return (
-        float(np.quantile(stats, alpha)),
-        float(np.quantile(stats, 1.0 - alpha)),
     )

@@ -5,12 +5,11 @@ logistic-regression attacks as baselines, and the stable-CRP experiment
 harness of Sec. 2.3.
 """
 
-from repro.attacks.cma import CmaEs, minimize_cma
+from repro.attacks.cma import CmaEs
 from repro.attacks.features import attack_matrices, attack_matrix
 from repro.attacks.reliability import ReliabilityAttack, estimate_reliability
 from repro.attacks.harness import (
     AttackResult,
-    LearningCurvePoint,
     collect_stable_xor_crps,
     learning_curve,
 )
@@ -20,13 +19,11 @@ from repro.attacks.xor_logistic import XorLogisticAttack
 
 __all__ = [
     "CmaEs",
-    "minimize_cma",
     "ReliabilityAttack",
     "estimate_reliability",
     "attack_matrices",
     "attack_matrix",
     "AttackResult",
-    "LearningCurvePoint",
     "collect_stable_xor_crps",
     "learning_curve",
     "LogisticAttack",

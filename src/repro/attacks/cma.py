@@ -14,14 +14,14 @@ CMA Evolution Strategy: A Tutorial"), minimising the given objective.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive_int
 
-__all__ = ["CmaEs", "minimize_cma"]
+__all__ = ["CmaEs"]
 
 
 class CmaEs:
@@ -167,27 +167,3 @@ class CmaEs:
         )
         self._eig_stale = True
         self.generation += 1
-
-
-def minimize_cma(
-    objective: Callable[[np.ndarray], np.ndarray],
-    x0: np.ndarray,
-    sigma0: float,
-    *,
-    max_generations: int = 200,
-    population: Optional[int] = None,
-    f_target: float = -np.inf,
-    seed: SeedLike = None,
-) -> Tuple[np.ndarray, float]:
-    """Run CMA-ES; *objective* maps a (population, dim) batch to fitnesses.
-
-    Returns the best candidate and its fitness.  Stops at
-    *max_generations* or when the best fitness drops to *f_target*.
-    """
-    es = CmaEs(x0, sigma0, population=population, seed=seed)
-    for _ in range(check_positive_int(max_generations, "max_generations")):
-        candidates = es.ask()
-        es.tell(candidates, np.asarray(objective(candidates), dtype=np.float64))
-        if es.best_f <= f_target:
-            break
-    return es.best_x, es.best_f

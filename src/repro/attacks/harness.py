@@ -38,7 +38,6 @@ from repro.utils.validation import check_positive_int
 __all__ = [
     "collect_stable_xor_crps",
     "AttackResult",
-    "LearningCurvePoint",
     "learning_curve",
 ]
 
@@ -128,14 +127,6 @@ class AttackResult:
     @property
     def ms_per_crp(self) -> float:
         return 1000.0 * self.fit_seconds / max(self.n_train, 1)
-
-
-@dataclasses.dataclass(frozen=True)
-class LearningCurvePoint:
-    """One point of an accuracy-vs-training-size curve (Fig. 4)."""
-
-    n_pufs: int
-    result: AttackResult
 
 
 def learning_curve(

@@ -213,45 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-availability", type=float, default=0.95,
                    help="fail (exit 1) if active-fleet availability "
                         "falls below this")
-    p.add_argument("--sharded", action="store_true",
-                   help="serve identification traffic through the inline "
-                        "sharded fleet plane (exercises shard refresh and "
-                        "re-layout under churn)")
-    p.add_argument("--shards", type=int, default=2,
-                   help="shard count for --sharded")
     p.add_argument("--clients", type=int, default=0,
                    help="pump all traffic through the micro-batching front "
                         "end with this many concurrent clients (0 = "
                         "sequential); gates are unchanged")
-
-    p = sub.add_parser(
-        "serve-shards",
-        help="stand up a supervised shard fleet (real worker processes) "
-             "over a synthetic enrolled population, replay identification "
-             "traffic -- optionally under injected worker chaos -- and "
-             "gate on zero wrong identifications + full final coverage",
-    )
-    p.add_argument("--chips", type=int, default=6, help="enrolled identities")
-    p.add_argument("--n-pufs", type=int, default=4)
-    p.add_argument("--n-stages", type=int, default=32)
-    p.add_argument("--shards", type=int, default=2)
-    p.add_argument("--batches", type=int, default=4,
-                   help="identification batches to serve")
-    p.add_argument("--n-challenges", type=int, default=64,
-                   help="identification block length per identity")
-    p.add_argument("--chaos", action="store_true",
-                   help="kill one worker mid-query and hang another: the "
-                        "fleet must degrade (coverage < 1, never a wrong "
-                        "id) and recover to full coverage")
-    p.add_argument("--request-timeout", type=float, default=5.0)
-    p.add_argument("--clients", type=int, default=0,
-                   help="serve each batch as this many concurrent client "
-                        "submissions through the micro-batching front end "
-                        "(AuthenticationService + BatchingFrontend over the "
-                        "fleet) instead of one direct dispatcher call; the "
-                        "degraded-not-wrong gates are unchanged")
-    p.add_argument("--report", metavar="PATH", default=None,
-                   help="write the serve report JSON here")
 
     p = sub.add_parser(
         "revoke",
@@ -483,8 +448,6 @@ def _cmd_lifecycle_sim(args: argparse.Namespace) -> int:
         max_stale_rows=args.max_stale_rows,
         max_nominal_frr=args.max_nominal_frr,
         min_availability=args.min_availability,
-        sharded=args.sharded,
-        n_shards=args.shards,
         clients=args.clients,
     )
     faults = None
@@ -524,31 +487,6 @@ def _cmd_lifecycle_sim(args: argparse.Namespace) -> int:
           f"{report.persist_failures}/{report.persist_saves} persists "
           f"failed, {report.corrupt_recoveries} corrupt codebooks rebuilt")
     print(f"no challenge replayed: {report.no_replay}")
-    fleet = report.params.get("fleet")
-    if fleet:
-        print(f"fleet plane: {fleet['n_shards']} shards, "
-              f"min coverage {fleet['min_coverage']:.3f}, "
-              f"events {fleet['events']}")
-    return gate_exit(report)
-
-
-def _cmd_serve_shards(args: argparse.Namespace) -> int:
-    from repro.service import gate_exit, run_serve_shards
-
-    report = run_serve_shards(
-        n_chips=args.chips,
-        n_xors=args.n_pufs,
-        n_stages=args.n_stages,
-        n_shards=args.shards,
-        batches=args.batches,
-        n_challenges=args.n_challenges,
-        chaos=args.chaos,
-        request_timeout=args.request_timeout,
-        clients=args.clients,
-        seed=args.seed,
-        report_path=args.report,
-        progress=print,
-    )
     return gate_exit(report)
 
 
@@ -650,7 +588,6 @@ _COMMANDS = {
     "identify": _cmd_identify,
     "serve-sim": _cmd_serve_sim,
     "lifecycle-sim": _cmd_lifecycle_sim,
-    "serve-shards": _cmd_serve_shards,
     "revoke": _cmd_revoke,
     "aging": _cmd_aging,
     "figure": _cmd_figure,

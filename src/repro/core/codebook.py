@@ -58,7 +58,6 @@ from typing import (
     Optional,
     Sequence,
     Set,
-    Tuple,
     Union,
 )
 
@@ -313,7 +312,6 @@ class IdentificationCodebook:
         self.restacks = 0
         self.syncs = 0
         self.persists = 0
-        self.last_sync_pending = 0
         # Contiguous stacked form, updated in place for content-only
         # changes and rebuilt when the row membership changes.
         self._ids: List[str] = []
@@ -365,36 +363,6 @@ class IdentificationCodebook:
     def row(self, chip_id: str) -> CodebookRow:
         """The stored row for *chip_id* (KeyError if absent)."""
         return self._rows[chip_id]
-
-    def row_position(self, chip_id: str) -> int:
-        """Stacked-matrix row index of *chip_id* (KeyError if absent).
-
-        Because :attr:`ids` is sorted and the packed matrix follows it,
-        this is the global row coordinate shard layouts are built on.
-        """
-        return self._index[chip_id]
-
-    def shard_bounds(self, n_shards: int) -> List[Tuple[int, int]]:
-        """Contiguous near-equal ``[start, stop)`` row slices for sharding.
-
-        The partition covers every row exactly once in :attr:`ids`
-        order, so per-shard winners merged by (distance, shard index,
-        local row) reproduce the global argmax tie-break -- highest
-        score, then lexicographically lowest chip id -- bit for bit.
-        More shards than rows yields trailing empty slices rather than
-        an error: a fixed fleet geometry must survive the population
-        shrinking under it.
-        """
-        check_positive_int(n_shards, "n_shards")
-        n_rows = len(self._ids)
-        base, extra = divmod(n_rows, n_shards)
-        bounds: List[Tuple[int, int]] = []
-        start = 0
-        for shard in range(n_shards):
-            stop = start + base + (1 if shard < extra else 0)
-            bounds.append((start, stop))
-            start = stop
-        return bounds
 
     @property
     def stacked_challenges(self) -> np.ndarray:
@@ -488,9 +456,8 @@ class IdentificationCodebook:
             revoked id re-appearing in *records* stays excluded.
         limit:
             Cap on row *builds* this call (deferred maintenance).  When
-            the cap is hit the remaining stale rows stay pending,
-            :attr:`synced_epoch` does **not** advance, and
-            :attr:`last_sync_pending` reports the leftover count.
+            the cap is hit the remaining stale rows stay pending and
+            :attr:`synced_epoch` does **not** advance.
         faults:
             Optional :class:`repro.faults.FaultPlan`; consulted at
             :attr:`repro.faults.Site.CODEBOOK_SYNC` with the sync
@@ -578,7 +545,6 @@ class IdentificationCodebook:
             for chip_id in touched:
                 self._write_row(self._index[chip_id], self._rows[chip_id])
         self.rebuilds += rebuilt
-        self.last_sync_pending = pending
         if pending == 0:
             self.synced_epoch = epoch
         return rebuilt

@@ -3,10 +3,7 @@
 from repro.crp.challenges import (
     ChallengeStream,
     all_challenges,
-    decode_challenges,
-    encode_challenges,
     random_challenges,
-    unique_random_challenges,
 )
 from repro.crp.io import (
     load_crps_csv,
@@ -25,10 +22,7 @@ from repro.crp.transform import from_signed, n_features, parity_features, to_sig
 __all__ = [
     "ChallengeStream",
     "all_challenges",
-    "decode_challenges",
-    "encode_challenges",
     "random_challenges",
-    "unique_random_challenges",
     "load_crps_csv",
     "load_soft_responses_csv",
     "save_crps_csv",

@@ -8,11 +8,10 @@ of shape ``(n, k)`` with entries in {0, 1}.
 
 The module offers:
 
-* uniform random sampling (with or without replacement),
+* uniform random sampling,
 * a deterministic seeded *stream* (for protocols that must re-derive the
   same challenge sequence on server and device),
-* exhaustive enumeration for small ``k`` (used by tests),
-* integer encode/decode helpers so challenges can be stored compactly.
+* exhaustive enumeration for small ``k`` (used by tests).
 
 Every random draw goes through :func:`_draw_bits`, which returns exactly
 the rows of ``rng.integers(0, 2, (n, k), dtype=np.int8)`` and leaves the
@@ -21,20 +20,17 @@ generator in the same state, at about a fifth of the cost.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.validation import as_challenge_array, check_positive_int
+from repro.utils.validation import check_positive_int
 
 __all__ = [
     "random_challenges",
-    "unique_random_challenges",
     "all_challenges",
     "ChallengeStream",
-    "encode_challenges",
-    "decode_challenges",
 ]
 
 
@@ -89,44 +85,6 @@ def random_challenges(
     return _draw_bits(as_generator(seed), n, n_stages)
 
 
-def unique_random_challenges(
-    n: int,
-    n_stages: int,
-    seed: SeedLike = None,
-    *,
-    max_attempts: int = 16,
-) -> np.ndarray:
-    """Sample *n* distinct random challenges.
-
-    Rejection-samples batches until *n* distinct rows are collected.
-    Raises :class:`ValueError` if the space is too small (``n > 2**k``).
-    """
-    n = check_positive_int(n, "n")
-    n_stages = check_positive_int(n_stages, "n_stages")
-    if n_stages < 63 and n > 2**n_stages:
-        raise ValueError(
-            f"cannot draw {n} distinct challenges from a space of 2^{n_stages}"
-        )
-    rng = as_generator(seed)
-    seen: dict[bytes, int] = {}
-    rows = np.empty((n, n_stages), dtype=np.int8)
-    filled = 0
-    for _ in range(max_attempts):
-        batch = _draw_bits(rng, max(n - filled, 1) * 2, n_stages)
-        for row in batch:
-            key = row.tobytes()
-            if key in seen:
-                continue
-            seen[key] = filled
-            rows[filled] = row
-            filled += 1
-            if filled == n:
-                return rows
-    raise RuntimeError(
-        f"failed to collect {n} distinct challenges in {max_attempts} batches"
-    )
-
-
 def all_challenges(n_stages: int) -> np.ndarray:
     """Enumerate every challenge of *n_stages* bits (for small spaces).
 
@@ -142,32 +100,6 @@ def all_challenges(n_stages: int) -> np.ndarray:
     indices = np.arange(count, dtype=np.uint64)
     shifts = np.arange(n_stages - 1, -1, -1, dtype=np.uint64)
     return ((indices[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-
-
-def encode_challenges(challenges: np.ndarray) -> np.ndarray:
-    """Pack challenges (MSB first) into unsigned 64-bit integers.
-
-    Only defined for ``n_stages <= 64``.  Inverse of
-    :func:`decode_challenges`.
-    """
-    challenges = as_challenge_array(challenges)
-    k = challenges.shape[1]
-    if k > 64:
-        raise ValueError(f"cannot encode {k}-stage challenges into uint64")
-    shifts = np.arange(k - 1, -1, -1, dtype=np.uint64)
-    return (challenges.astype(np.uint64) << shifts[None, :]).sum(axis=1, dtype=np.uint64)
-
-
-def decode_challenges(codes: np.ndarray, n_stages: int) -> np.ndarray:
-    """Unpack uint64 codes back into challenge bit arrays (MSB first)."""
-    n_stages = check_positive_int(n_stages, "n_stages")
-    if n_stages > 64:
-        raise ValueError(f"cannot decode {n_stages}-stage challenges from uint64")
-    codes = np.asarray(codes, dtype=np.uint64)
-    if codes.ndim != 1:
-        raise ValueError(f"codes must be 1-D, got ndim={codes.ndim}")
-    shifts = np.arange(n_stages - 1, -1, -1, dtype=np.uint64)
-    return ((codes[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.int8)
 
 
 class ChallengeStream:

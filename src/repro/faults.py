@@ -108,22 +108,6 @@ class Site:
     #: One step of the fleet-lifecycle driver (index = tick number);
     #: used by the chaos harness to kill maintenance work mid-tick.
     SERVICE_LIFECYCLE = "service.lifecycle"
-    #: Shard-worker liveness beacon (index = shard index, attempt = the
-    #: worker's spawn generation).  A ``hang`` spec stalls the worker's
-    #: main loop without updating its heartbeat slot -- the supervisor
-    #: must detect the silence and restart; a ``crash`` kills the
-    #: worker process outright.
-    SHARD_HEARTBEAT = "shard.heartbeat"
-    #: One shard scoring pass (index = shard index, attempt = the
-    #: dispatcher's request sequence number, so a fault heals after
-    #: ``fail_attempts`` *requests* however many times the worker is
-    #: respawned).  ``crash`` specs kill the worker process mid-query.
-    SHARD_SCORE = "shard.score"
-    #: Shared-memory attach on worker (re)spawn (index = shard index,
-    #: attempt = spawn generation): ``crash`` here models a worker that
-    #: dies before it ever serves, exercising the respawn + re-attach
-    #: path.
-    SHARD_ATTACH = "shard.attach"
 
 
 #: Recognised values of :attr:`FaultSpec.kind`.

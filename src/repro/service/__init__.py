@@ -14,39 +14,30 @@ compromising the zero-HD protocol's no-replay invariant.
   micro-batching request coalescer: concurrent client threads and
   asyncio coroutines submit into a bounded queue, a batching loop
   drains it, serving authentications slot by slot and
-  identifications in one packed ``identify_many`` pass (with a fleet
-  attached, one shard round-trip), bit-identical to sequential
-  serving;
+  identifications in one packed ``identify_many`` pass, bit-identical
+  to sequential serving;
 * :mod:`repro.service.drift` -- rolling-FRR drift monitor and the
   graceful-degradation ladder;
 * :mod:`repro.service.resilience` -- circuit breaker and rate limiter
   state machines;
 * :mod:`repro.service.budget` -- never-used challenge-pool accounting;
 * :mod:`repro.service.events` -- structured audit events;
-* :mod:`repro.service.fleet` -- the supervised sharded identification
-  plane (shared-memory codebook shards, heartbeat supervision,
-  degraded partial-coverage serving that survives worker death
-  mid-query);
 * :mod:`repro.service.scenario` -- the one scenario runner: a seeded
   population, traffic through the service (sequential or front-end
   waves), injected faults and a gated report.  ``serve-sim`` (drifting
-  V/T, a flaky radio), ``lifecycle-sim`` (churn, aging storms,
-  revocation waves, persistence chaos) and ``serve-shards`` (worker
-  chaos under the shard fleet) are its presets.
+  V/T, a flaky radio) and ``lifecycle-sim`` (churn, aging storms,
+  revocation waves, persistence chaos) are its presets.
+
+Every identification, from the CLI, the front end or a scenario, runs
+the one in-process path: :meth:`AuthenticationService.identify_many`
+-> :meth:`AuthenticationServer.identify_many` ->
+:meth:`IdentificationCodebook.match_packed`.
 """
 
 from repro.service.budget import ChallengeBudget, PoolExhaustedError
-from repro.service.fleet import (
-    FleetConfig,
-    FleetIdentificationResult,
-    FleetLog,
-    FleetOutcome,
-    OverloadError,
-    ShardDispatcher,
-)
 from repro.service.drift import DriftMonitor, DriftPolicy, MAX_RUNG
 from repro.service.events import AuditLog, AuthEvent, AuthOutcome, challenge_digests
-from repro.service.frontend import BatchingFrontend, FrontendConfig
+from repro.service.frontend import BatchingFrontend, FrontendConfig, OverloadError
 from repro.service.resilience import BreakerState, CircuitBreaker, RateLimiter
 from repro.service.service import (
     PROTOCOL_STUDY_CONFIG,
@@ -60,7 +51,6 @@ from repro.service.scenario import (
     VirtualClock,
     gate_exit,
     run_lifecycle_sim,
-    run_serve_shards,
     run_serve_sim,
 )
 
@@ -75,10 +65,6 @@ __all__ = [
     "CircuitBreaker",
     "DriftMonitor",
     "DriftPolicy",
-    "FleetConfig",
-    "FleetIdentificationResult",
-    "FleetLog",
-    "FleetOutcome",
     "FrontendConfig",
     "LifecycleConfig",
     "MAX_RUNG",
@@ -86,7 +72,6 @@ __all__ = [
     "PROTOCOL_STUDY_CONFIG",
     "PoolExhaustedError",
     "RateLimiter",
-    "ShardDispatcher",
     "ServiceConfig",
     "ScenarioReport",
     "ServiceResult",
@@ -94,6 +79,5 @@ __all__ = [
     "challenge_digests",
     "gate_exit",
     "run_lifecycle_sim",
-    "run_serve_shards",
     "run_serve_sim",
 ]

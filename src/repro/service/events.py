@@ -63,7 +63,7 @@ class AuthOutcome(str, enum.Enum):
     * ``BUDGET_LOW`` -- the challenge pool crossed its low-water mark.
     * ``OVERLOAD_SHED`` -- the batching front end's bounded queue was
       full and the submission was refused with a typed
-      :class:`~repro.service.fleet.OverloadError` *before* admission:
+      :class:`~repro.service.frontend.OverloadError` *before* admission:
       no request number is consumed, no challenge is issued, and no
       per-chip state is touched (the event's ``chip_id`` is the
       claimed identity when the caller supplied one).

@@ -26,21 +26,20 @@ Correctness contract -- batching is **invisible** in the results:
   device that dies mid-identification is zero-filled out of the packed
   pass and handed its exception alone (the zero rows score far below
   any sane threshold and cannot perturb its batchmates' rows);
-* a full queue refuses the submission with the same typed
-  :class:`~repro.service.fleet.OverloadError` the shard fleet uses, and
-  records an ``OVERLOAD_SHED`` audit event through the service: zero
-  challenges issued, zero per-chip state touched, batchmates untouched;
+* a full queue refuses the submission with a typed
+  :class:`OverloadError` and records an ``OVERLOAD_SHED`` audit event
+  through the service: zero challenges issued, zero per-chip state
+  touched, batchmates untouched;
 * per-request deadlines survive queueing: an explicit deadline is
   charged for the time the request spent waiting (measured on the
   service's own clock), so a request that expires in the queue is
   denied ``DEADLINE_EXCEEDED`` at admission exactly like a sequential
   call that ran out of time.
 
-With a shard fleet attached to the service, a drained identification
-run flows through :meth:`ShardDispatcher.submit` /
-:meth:`~ShardDispatcher.flush`, so one front-end flush costs one shard
-round-trip for the whole run -- per-shard passes coalesce *across*
-client requests.
+A drained identification run is one
+:meth:`AuthenticationService.identify_many` call, so one front-end
+flush costs one packed codebook pass for the whole run -- scoring
+passes coalesce *across* client requests.
 
 The batching policy (:class:`FrontendConfig`):
 
@@ -77,12 +76,26 @@ import numpy as np
 
 from repro.core.authentication import Responder
 from repro.core.server import IdentificationResult
-from repro.service.fleet.dispatcher import OverloadError
 from repro.service.service import AuthenticationService, ServiceResult
 from repro.silicon.environment import NOMINAL_CONDITION, OperatingCondition
 from repro.utils.validation import check_positive_int
 
-__all__ = ["BatchingFrontend", "FrontendConfig"]
+__all__ = ["BatchingFrontend", "FrontendConfig", "OverloadError"]
+
+
+class OverloadError(RuntimeError):
+    """The bounded request queue is full; the request was shed, not dropped.
+
+    Carries enough context for the caller to back off intelligently.
+    """
+
+    def __init__(self, pending: int, limit: int) -> None:
+        super().__init__(
+            f"front-end queue full: {pending} pending requests at the "
+            f"configured bound of {limit}; request refused"
+        )
+        self.pending = pending
+        self.limit = limit
 
 
 @dataclasses.dataclass(frozen=True)
@@ -99,7 +112,7 @@ class FrontendConfig:
         for stragglers to fill the batch.  Ignored when adaptive.
     max_pending:
         Bound of the submission queue; a submission beyond it is shed
-        with a typed :class:`~repro.service.fleet.OverloadError`.
+        with a typed :class:`OverloadError`.
     adaptive_flush:
         ``True`` -- flush as soon as the loop is free (batches form
         from execution backpressure); ``False`` -- dwell up to
@@ -320,7 +333,7 @@ class BatchingFrontend:
 
         Identifications sharing a drain (and the same threshold /
         score-reporting options) are served by one packed codebook
-        pass -- one shard round-trip when a fleet is attached.
+        pass.
         """
         return self._enqueue(
             _QueuedRequest(

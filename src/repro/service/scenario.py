@@ -1,11 +1,10 @@
 """One scenario runner: population, traffic, faults and gates.
 
-``repro-puf serve-sim``, ``lifecycle-sim`` and ``serve-shards`` are
-presets of this module.  Each one builds a seeded, enrolled population
+``repro-puf serve-sim`` and ``lifecycle-sim`` are presets of this
+module.  Each one builds a seeded, enrolled population
 (:class:`Scenario`) and stands up the serving stack on a
 :class:`VirtualClock`: :class:`AuthenticationService`, optionally with
-a :class:`~repro.service.fleet.ShardDispatcher` behind it and a
-:class:`~repro.service.frontend.BatchingFrontend` before it.  It drives
+a :class:`~repro.service.frontend.BatchingFrontend` before it.  It drives
 authentication and identification traffic through the one
 :meth:`Scenario.serve` step, injects its faults, and returns a
 :class:`ScenarioReport` whose ``gates`` decide ``passed``.  The CLI
@@ -22,10 +21,6 @@ ends every preset with :func:`gate_exit`.
   devices and optional chaos at the maintenance, codebook-sync and
   persist sites.  Gates: FRR, availability, no replay, zero revoked
   approvals or identifications, bounded served staleness.
-* :func:`run_serve_shards` -- does the shard fleet degrade without ever
-  being wrong?  Identification batches against real worker processes,
-  optionally with one worker killed mid-query and another hung.  Gates:
-  zero wrong identifications, full final coverage.
 
 Every seed derives from the preset's root seed, so a report is exactly
 reproducible.
@@ -49,7 +44,6 @@ from repro.crp.dataset import CorruptDatasetError
 from repro.faults import FaultPlan, FaultSpec, FlakyResponder, InjectedFault, Site
 from repro.service.drift import DriftPolicy
 from repro.service.events import AuthOutcome
-from repro.service.fleet import FleetConfig, ShardDispatcher
 from repro.service.frontend import BatchingFrontend, FrontendConfig
 from repro.service.service import AuthenticationService, ServiceConfig
 from repro.silicon.aging import AgingModel, age_chip
@@ -69,7 +63,6 @@ __all__ = [
     "VirtualClock",
     "gate_exit",
     "run_lifecycle_sim",
-    "run_serve_shards",
     "run_serve_sim",
 ]
 
@@ -183,22 +176,21 @@ def gate_exit(report: ScenarioReport) -> int:
 class Scenario:
     """One run's enrolled population and serving stack on a virtual clock.
 
-    Construction fabricates and enrolls the lot.  With a *label*, the
-    lot seed derives from ``(seed, label, "lot")`` and each enrollment
-    seed from ``(seed, label, "enroll", key)``, where *key* is the
-    chip's index, or its id when *by_id*.  Without one, they are plain
-    offsets: *seed* for the lot and ``seed + 1 + index`` per chip.
+    Construction fabricates and enrolls the lot.  The lot seed derives
+    from ``(seed, label, "lot")`` and each enrollment seed from
+    ``(seed, label, "enroll", key)``, where *key* is the chip's index,
+    or its id when *by_id*.
 
     :meth:`start` stands up the service, :meth:`serve` drives traffic
     and :meth:`report` gates and writes the outcome.  Use the scenario
-    as a context manager, so its front end and fleet are closed however
-    the run ends.
+    as a context manager, so its front end is closed however the run
+    ends.
     """
 
     def __init__(
         self,
         seed: SeedLike,
-        label: Optional[str],
+        label: str,
         n_chips: int,
         n_xors: int,
         n_stages: int,
@@ -219,16 +211,18 @@ class Scenario:
         self.clock = VirtualClock()
         self.server = AuthenticationServer(codebook_policy=codebook_policy)
         self.service: Optional[AuthenticationService] = None
-        self.dispatcher: Optional[ShardDispatcher] = None
         self.frontend: Optional[BatchingFrontend] = None
         self.clients = 0
         #: Decision histogram of every authentication served.
         self.outcome_counts: Dict[str, int] = {}
         #: Host seconds from each request's wave start to its result.
         self.latencies: List[float] = []
-        lot_seed = seed if label is None else _derived_seed(seed, label, "lot")
         self.lot = fabricate_lot(
-            n_chips, n_xors, n_stages, seed=lot_seed, environment=environment
+            n_chips,
+            n_xors,
+            n_stages,
+            seed=_derived_seed(seed, label, "lot"),
+            environment=environment,
         )
         for index, chip in enumerate(self.lot):
             self.enroll(chip, index)
@@ -240,9 +234,6 @@ class Scenario:
     def __exit__(self, *exc_info) -> None:
         if self.frontend is not None:
             self.frontend.close()
-        if self.dispatcher is not None:
-            self.service.detach_fleet()
-            self.dispatcher.close()
 
     def say(self, message: str) -> None:
         """Emit a human-readable progress line."""
@@ -251,11 +242,8 @@ class Scenario:
 
     def enroll(self, chip: PufChip, index: int) -> None:
         """Enroll *chip*, the lot's *index*-th, under the scenario's seeding."""
-        if self._label is None:
-            seed = int(self._seed) + 1 + index
-        else:
-            key = chip.chip_id if self._by_id else index
-            seed = _derived_seed(self._seed, self._label, "enroll", key)
+        key = chip.chip_id if self._by_id else index
+        seed = _derived_seed(self._seed, self._label, "enroll", key)
         n_enroll, n_validation = self._enroll_sizes
         self.server.enroll(
             chip,
@@ -271,14 +259,11 @@ class Scenario:
         seed: Optional[SeedLike] = None,
         faults: Optional[FaultPlan] = None,
         clients: int = 0,
-        fleet: Optional[FleetConfig] = None,
     ) -> None:
         """Stand up the service (seeded with *seed*, default the scenario's).
 
-        *faults* goes to the service and the fleet; each consults only
-        its own sites.  A *fleet* config puts a shard dispatcher behind
-        the service, with the codebook seed equal to the service seed.
-        Positive *clients* puts a batching front end before it.
+        *faults* goes to the service.  Positive *clients* puts a
+        batching front end before it.
         """
         if clients < 0:
             raise ValueError(f"clients must be >= 0, got {clients}")
@@ -286,18 +271,6 @@ class Scenario:
         self.service = AuthenticationService(
             self.server, config, seed=seed, clock=self.clock, faults=faults
         )
-        if fleet is not None:
-            self.dispatcher = ShardDispatcher(
-                self.server,
-                fleet,
-                seed=seed if isinstance(seed, int) else None,
-                faults=faults,
-            )
-            self.service.attach_fleet(self.dispatcher)
-            self.say(
-                f"{fleet.n_shards} {'inline ' if fleet.inline else ''}"
-                f"shard(s) over {len(self.server.active_ids)} identities"
-            )
         if clients:
             self.frontend = BatchingFrontend(
                 self.service,
@@ -709,13 +682,6 @@ class LifecycleConfig:
         0 serves every probe sequentially.  Positive values pump all
         traffic through a batching front end with up to this many
         requests in flight; the gates hold unchanged.
-    sharded / n_shards:
-        With *sharded* on, identification is served by an inline
-        :class:`~repro.service.fleet.ShardDispatcher` over *n_shards*
-        shared-memory shards instead of the in-process codebook: the
-        same results (the fleet plane is bit-identical at full
-        coverage), plus shard refresh and re-layout under churn,
-        revocation waves and retighten storms.
     max_nominal_frr / min_availability:
         Acceptance gates over the active-fleet authentication probes.
     """
@@ -734,8 +700,6 @@ class LifecycleConfig:
     n_validation_challenges: int = 5000
     identify_probes: int = 3
     clients: int = 0
-    sharded: bool = False
-    n_shards: int = 2
     max_nominal_frr: float = 0.02
     min_availability: float = 0.95
 
@@ -750,7 +714,6 @@ class LifecycleConfig:
             raise ValueError(
                 f"hours_per_tick must be positive, got {self.hours_per_tick}"
             )
-        check_positive_int(self.n_shards, "n_shards")
         if self.clients < 0:
             raise ValueError(f"clients must be >= 0, got {self.clients}")
 
@@ -837,10 +800,6 @@ def run_lifecycle_sim(
             service_config,
             faults=faults,
             clients=cfg.clients,
-            fleet=(
-                FleetConfig(n_shards=cfg.n_shards, n_challenges=n_challenges, inline=True)
-                if cfg.sharded else None
-            ),
         )
         service = run.service
         chips: Dict[str, PufChip] = {chip.chip_id: chip for chip in run.lot}
@@ -972,14 +931,6 @@ def run_lifecycle_sim(
         # Converge: the life ends with a fully drained codebook.
         server.sync_codebooks(limit=None)
 
-        fleet_stats = None
-        if run.dispatcher is not None:
-            fleet_stats = {
-                "n_shards": cfg.n_shards,
-                "min_coverage": run.dispatcher.log.min_coverage(),
-                "events": run.dispatcher.log.outcome_counts(),
-                "epoch": run.dispatcher.epoch,
-            }
         scored = tally["active_approved"] + tally["active_rejected"]
         probes = scored + tally["active_denied"]
         frr = tally["active_rejected"] / scored if scored else 0.0
@@ -1050,101 +1001,5 @@ def run_lifecycle_sim(
             "identified_misses": tally["identified_misses"],
             "chaos": faults is not None,
             "persistence_chaos": workdir is not None,
-            "sharded": cfg.sharded,
-            "fleet": fleet_stats,
-        }
-        return run.report(numbers, gates, params, report_path=report_path)
-
-
-# ----------------------------------------------------------------------
-# serve-shards: a supervised worker fleet under chaos
-# ----------------------------------------------------------------------
-
-
-def run_serve_shards(
-    *,
-    n_chips: int = 6,
-    n_xors: int = 4,
-    n_stages: int = 32,
-    n_shards: int = 2,
-    batches: int = 4,
-    n_challenges: int = 64,
-    chaos: bool = False,
-    request_timeout: float = 5.0,
-    clients: int = 0,
-    seed: int = 0,
-    report_path=None,
-    progress: Optional[Callable[[str], None]] = None,
-) -> ScenarioReport:
-    """Identify the whole lot *batches* times through a real shard fleet.
-
-    The lot derives from ``seed + 160`` and its enrollments from
-    ``seed + 161 + index``; the service and the fleet's codebook use
-    ``seed + 173``.  With *chaos*, the first request kills whoever
-    serves shard 0 mid-query, and the next spawn generation of shard
-    1's worker stalls its heartbeat: both must be detected, restarted
-    and healed.  With positive *clients*, each batch goes through the
-    batching front end as concurrent submissions.
-
-    The report's numbers: per-batch ``batches`` hits and coverage,
-    ``wrong_identifications``, ``final_coverage`` and the ``fleet``
-    status with its supervision events.
-    """
-    faults = None
-    if chaos:
-        faults = FaultPlan([
-            FaultSpec(Site.SHARD_SCORE, kind="crash", at=0, fail_attempts=2),
-            FaultSpec(Site.SHARD_SCORE, kind="hang", at=1, fail_attempts=3,
-                      seconds=max(30.0, 4 * request_timeout)),
-        ])
-    with Scenario(seed + 160, None, n_chips, n_xors, n_stages, progress=progress) as run:
-        run.start(
-            ServiceConfig(n_challenges=n_challenges),
-            seed=seed + 173,
-            faults=faults,
-            clients=clients,
-            fleet=FleetConfig(
-                n_shards=n_shards,
-                n_challenges=n_challenges,
-                request_timeout=request_timeout,
-                heartbeat_timeout=max(1.0, request_timeout / 2),
-            ),
-        )
-        run.say(f"fleet up: {run.dispatcher.shard_states()}")
-        wrong = 0
-        served = []
-        for batch in range(batches):
-            results = run.serve("identify", run.lot)
-            hits = sum(r.chip_id == chip.chip_id for chip, r in zip(run.lot, results))
-            wrong += sum(
-                r.chip_id not in (None, chip.chip_id)
-                for chip, r in zip(run.lot, results)
-            )
-            coverage = min(r.coverage for r in results)
-            served.append({"batch": batch, "hits": hits, "coverage": coverage})
-            run.say(f"batch {batch}: {hits}/{n_chips} identified, coverage {coverage:.3f}")
-        final_coverage = served[-1]["coverage"] if served else 0.0
-        status = run.dispatcher.status()
-        run.say(f"events: {status['events']}")
-        numbers = {
-            "batches": served,
-            "wrong_identifications": wrong,
-            "final_coverage": final_coverage,
-            "fleet": status,
-        }
-        gates = {
-            "wrong_identifications": _gate(wrong, 0, wrong == 0),
-            "final_coverage": _gate(final_coverage, 1.0, final_coverage >= 1.0),
-        }
-        params = {
-            "seed": seed,
-            "chips": n_chips,
-            "n_xors": n_xors,
-            "n_stages": n_stages,
-            "shards": n_shards,
-            "n_challenges": n_challenges,
-            "chaos": chaos,
-            "request_timeout": request_timeout,
-            "clients": clients,
         }
         return run.report(numbers, gates, params, report_path=report_path)

@@ -68,7 +68,6 @@ from repro.service.events import (
     PackedDigests,
     challenge_digests,
 )
-from repro.service.fleet.dispatcher import OverloadError
 from repro.service.resilience import CircuitBreaker, RateLimiter
 from repro.silicon.environment import NOMINAL_CONDITION, OperatingCondition
 from repro.utils.rng import SeedLike, derive_generator
@@ -232,12 +231,9 @@ def _condition_label(condition: OperatingCondition) -> str:
 
 
 @functools.lru_cache(maxsize=1024)
-def _identify_detail(match_fraction: float, n_active: int, coverage: float) -> str:
+def _identify_detail(match_fraction: float, n_active: int) -> str:
     """An identification event's detail, shared by equal events."""
-    detail = f"best match {match_fraction:.4f} across {n_active} identities"
-    if coverage < 1.0:
-        detail += f" (degraded: coverage {coverage:.3f})"
-    return detail
+    return f"best match {match_fraction:.4f} across {n_active} identities"
 
 
 class _ChipState:
@@ -319,7 +315,6 @@ class AuthenticationService:
         self._chips: Dict[str, _ChipState] = {}
         self._requests = 0
         self._reads = 0
-        self._fleet = None
         # Audit appends must stay atomic even when an overload shed is
         # recorded from a submitter thread while the batching loop is
         # mid-request (see BatchingFrontend): sequence numbers come
@@ -334,21 +329,6 @@ class AuthenticationService:
     def server(self) -> AuthenticationServer:
         """The wrapped protocol server."""
         return self._server
-
-    def attach_fleet(self, dispatcher) -> None:
-        """Route :meth:`identify_many` through a sharded fleet.
-
-        *dispatcher* is a :class:`~repro.service.fleet.ShardDispatcher`
-        (duck-typed: anything with a compatible ``identify_many``).
-        The service keeps emitting its usual IDENTIFIED/UNIDENTIFIED
-        audit events; degraded batches additionally note their
-        coverage in the event detail.
-        """
-        self._fleet = dispatcher
-
-    def detach_fleet(self) -> None:
-        """Return :meth:`identify_many` to the in-process codebook."""
-        self._fleet = None
 
     @property
     def flagged_chips(self) -> List[str]:
@@ -638,18 +618,6 @@ class AuthenticationService:
         identification material outside the no-replay pool accounting.
         *conditions* optionally gives each responder its own operating
         condition, overriding *condition* per item.
-
-        With a fleet attached (:meth:`attach_fleet`) the batch is
-        driven through the dispatcher's coalescing buffer
-        (:meth:`~repro.service.fleet.ShardDispatcher.submit` /
-        :meth:`~repro.service.fleet.ShardDispatcher.flush`) instead of
-        the in-process codebook, so one service-level batch costs one
-        shard round-trip; a batch larger than the fleet's
-        ``max_pending`` bound is served in bound-sized passes rather
-        than shed (identification rows are scored independently, so
-        the split is invisible in the results).  Fleet results carry a
-        ``coverage`` attribute and may be degraded (never wrong) while
-        shards are down.
         """
         start = self._clock()
         seed = (
@@ -659,37 +627,15 @@ class AuthenticationService:
         conditions = self._per_item(
             "conditions", len(responders), conditions, condition
         )
-        if self._fleet is not None:
-            results = []
-            for responder, item_condition in zip(responders, conditions):
-                try:
-                    self._fleet.submit(responder, condition=item_condition)
-                except OverloadError:
-                    results.extend(
-                        self._fleet.flush(
-                            condition=condition,
-                            min_match_fraction=min_match_fraction,
-                            return_scores=return_scores,
-                        )
-                    )
-                    self._fleet.submit(responder, condition=item_condition)
-            results.extend(
-                self._fleet.flush(
-                    condition=condition,
-                    min_match_fraction=min_match_fraction,
-                    return_scores=return_scores,
-                )
-            )
-        else:
-            results = self._server.identify_many(
-                responders,
-                n_challenges=self.config.n_challenges,
-                min_match_fraction=min_match_fraction,
-                condition=condition,
-                conditions=conditions,
-                seed=seed,
-                return_scores=return_scores,
-            )
+        results = self._server.identify_many(
+            responders,
+            n_challenges=self.config.n_challenges,
+            min_match_fraction=min_match_fraction,
+            condition=condition,
+            conditions=conditions,
+            seed=seed,
+            return_scores=return_scores,
+        )
         # One audit tail per batch: the active count, the latency and
         # the lock are taken once.  A retained event is the log's cost
         # per request, so events share their latency float and a cached
@@ -706,11 +652,7 @@ class AuthenticationService:
                     else AuthOutcome.UNIDENTIFIED,
                     latency=latency,
                     n_challenges=self.config.n_challenges,
-                    detail=_identify_detail(
-                        result.match_fraction,
-                        n_active,
-                        getattr(result, "coverage", 1.0),
-                    ),
+                    detail=_identify_detail(result.match_fraction, n_active),
                     condition=_condition_label(item_condition),
                 ))
         return results
@@ -722,7 +664,7 @@ class AuthenticationService:
 
         The batching front end (:mod:`repro.service.frontend`) refuses
         submissions with a typed
-        :class:`~repro.service.fleet.OverloadError` when its bounded
+        :class:`~repro.service.frontend.OverloadError` when its bounded
         queue is full; this hook makes the refusal audible in the
         service's own audit log.  A shed request never reached
         admission, so -- like the operator events -- it consumes no

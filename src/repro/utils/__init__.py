@@ -6,7 +6,6 @@ from repro.utils.rng import (
     derive_generator,
     derive_seed_sequence,
     key_to_entropy,
-    spawn_generators,
 )
 from repro.utils.validation import (
     as_challenge_array,
@@ -22,7 +21,6 @@ __all__ = [
     "derive_generator",
     "derive_seed_sequence",
     "key_to_entropy",
-    "spawn_generators",
     "as_challenge_array",
     "as_float_array",
     "check_in_range",

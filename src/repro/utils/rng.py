@@ -18,7 +18,7 @@ existing ones.
 from __future__ import annotations
 
 import zlib
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "as_generator",
     "derive_generator",
     "derive_seed_sequence",
-    "spawn_generators",
     "key_to_entropy",
 ]
 
@@ -87,15 +86,3 @@ def derive_seed_sequence(
 def derive_generator(seed: SeedLike, *keys: Union[str, int]) -> np.random.Generator:
     """Return an independent generator for the consumer identified by *keys*."""
     return np.random.default_rng(derive_seed_sequence(seed, *keys))
-
-
-def spawn_generators(
-    seed: SeedLike,
-    count: int,
-    *keys: Union[str, int],
-) -> Iterator[np.random.Generator]:
-    """Yield *count* independent generators under a common key path."""
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
-    for index in range(count):
-        yield derive_generator(seed, *keys, index)

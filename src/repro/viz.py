@@ -9,11 +9,11 @@ archive raw series as JSON for real plotting.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["ascii_histogram", "ascii_curve", "ascii_decay_table"]
+__all__ = ["ascii_histogram", "ascii_decay_table"]
 
 
 def ascii_histogram(
@@ -60,45 +60,6 @@ def ascii_histogram(
             f"{label_format.format(center)} | {bar:<{width}} {count / total:6.1%}"
         )
     return "\n".join(rows)
-
-
-def ascii_curve(
-    xs: Sequence[float],
-    ys: Sequence[float],
-    *,
-    height: int = 12,
-    width: int = 60,
-    y_range: Optional[Tuple[float, float]] = None,
-    marker: str = "*",
-) -> str:
-    """Render a scatter/curve of (xs, ys) on a character grid."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.shape != ys.shape or xs.ndim != 1 or len(xs) == 0:
-        raise ValueError("xs and ys must be matching non-empty 1-D sequences")
-    if height < 2 or width < 2:
-        raise ValueError("height and width must be >= 2")
-    x_low, x_high = float(xs.min()), float(xs.max())
-    if y_range is None:
-        y_low, y_high = float(ys.min()), float(ys.max())
-    else:
-        y_low, y_high = y_range
-    if x_high == x_low:
-        x_high = x_low + 1.0
-    if y_high == y_low:
-        y_high = y_low + 1.0
-    grid = [[" "] * width for _ in range(height)]
-    for x, y in zip(xs, ys):
-        col = int(round((x - x_low) / (x_high - x_low) * (width - 1)))
-        row = int(round((y - y_low) / (y_high - y_low) * (height - 1)))
-        grid[height - 1 - row][min(max(col, 0), width - 1)] = marker
-    lines = []
-    for index, row in enumerate(grid):
-        y_value = y_high - index * (y_high - y_low) / (height - 1)
-        lines.append(f"{y_value:8.3g} |{''.join(row)}")
-    lines.append(" " * 9 + "+" + "-" * width)
-    lines.append(f"{'':9} {x_low:<10.4g}{'':{max(width - 20, 1)}}{x_high:>10.4g}")
-    return "\n".join(lines)
 
 
 def ascii_decay_table(

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.metrics import (
-    bit_aliasing,
     inter_chip_hd,
     intra_chip_hd,
     reliability,
@@ -71,12 +70,6 @@ class TestInterChipHd:
     def test_needs_two_chips(self):
         with pytest.raises(ValueError, match="two chips"):
             inter_chip_hd(np.zeros((1, 10), dtype=np.int8))
-
-
-class TestBitAliasing:
-    def test_per_challenge(self):
-        resp = np.array([[0, 1], [1, 1]], dtype=np.int8)
-        np.testing.assert_allclose(bit_aliasing(resp), [0.5, 1.0])
 
 
 class TestOnSiliconLot:

@@ -10,7 +10,6 @@ from repro.analysis.protocol_design import (
     challenges_for_far,
     false_accept_rate,
     false_reject_rate,
-    max_tolerance_for_far,
 )
 
 
@@ -91,15 +90,6 @@ class TestSizing:
             1e-9, tolerance=0, impostor_match_probability=0.999,
             max_challenges=100,
         ) is None
-
-    def test_max_tolerance_for_far(self):
-        tol = max_tolerance_for_far(128, 1e-9)
-        assert tol is not None
-        assert false_accept_rate(128, tol) <= 1e-9
-        assert false_accept_rate(128, tol + 1) > 1e-9
-
-    def test_max_tolerance_none_when_too_few_challenges(self):
-        assert max_tolerance_for_far(8, 1e-9) is None
 
     def test_zero_target_rejected(self):
         with pytest.raises(ValueError, match="positive"):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.statistics import (
-    bootstrap_interval,
     fit_exponential_decay,
     wilson_interval,
 )
@@ -81,28 +80,3 @@ class TestExponentialDecayFit:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="matching"):
             fit_exponential_decay(np.array([1, 2]), np.array([0.5]))
-
-
-class TestBootstrapInterval:
-    def test_contains_mean_usually(self):
-        rng = np.random.default_rng(2)
-        values = rng.normal(5.0, 1.0, 300)
-        lo, hi = bootstrap_interval(values, seed=3)
-        assert lo < 5.0 < hi
-
-    def test_narrower_with_higher_n(self):
-        rng = np.random.default_rng(4)
-        small = bootstrap_interval(rng.normal(0, 1, 20), seed=5)
-        large = bootstrap_interval(rng.normal(0, 1, 2000), seed=6)
-        assert (large[1] - large[0]) < (small[1] - small[0])
-
-    def test_custom_statistic(self):
-        values = np.arange(100.0)
-        lo, hi = bootstrap_interval(values, statistic=np.median, seed=7)
-        assert lo < 49.5 < hi
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bootstrap_interval(np.array([]))
-        with pytest.raises(ValueError):
-            bootstrap_interval(np.array([1.0]), confidence=1.5)

@@ -5,7 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.attacks.cma import CmaEs, minimize_cma
+from repro.attacks.cma import CmaEs
+
+
+def run_cma(objective, x0, sigma0, *, generations, seed):
+    """Drive one ask/tell run; return the best candidate and fitness."""
+    es = CmaEs(x0, sigma0, seed=seed)
+    for _ in range(generations):
+        candidates = es.ask()
+        es.tell(candidates, objective(candidates))
+    return es.best_x, es.best_f
 
 
 def sphere(candidates: np.ndarray) -> np.ndarray:
@@ -69,23 +78,14 @@ class TestAskTell:
 
 class TestConvergence:
     def test_sphere(self):
-        x, f = minimize_cma(sphere, np.ones(10) * 3, 1.0,
-                            max_generations=300, seed=5)
+        x, f = run_cma(sphere, np.ones(10) * 3, 1.0, generations=300, seed=5)
         assert f < 1e-10
         np.testing.assert_allclose(x, 0.0, atol=1e-4)
 
     def test_rosenbrock(self):
-        x, f = minimize_cma(rosenbrock, np.zeros(6), 0.5,
-                            max_generations=800, seed=6)
+        x, f = run_cma(rosenbrock, np.zeros(6), 0.5, generations=800, seed=6)
         assert f < 1e-8
         np.testing.assert_allclose(x, 1.0, atol=1e-3)
-
-    def test_f_target_early_stop(self):
-        es_full = minimize_cma(sphere, np.ones(5), 1.0,
-                               max_generations=500, seed=7)
-        x, f = minimize_cma(sphere, np.ones(5), 1.0,
-                            max_generations=500, f_target=1e-3, seed=7)
-        assert f <= 1e-3
 
     def test_shifted_optimum(self):
         target = np.array([2.0, -1.0, 0.5, 3.0])
@@ -93,8 +93,7 @@ class TestConvergence:
         def shifted(c):
             return ((c - target) ** 2).sum(axis=1)
 
-        x, f = minimize_cma(shifted, np.zeros(4), 1.0,
-                            max_generations=300, seed=8)
+        x, f = run_cma(shifted, np.zeros(4), 1.0, generations=300, seed=8)
         np.testing.assert_allclose(x, target, atol=1e-4)
 
     def test_ill_conditioned_quadratic(self):
@@ -104,6 +103,5 @@ class TestConvergence:
         def elli(c):
             return ((c * scales) ** 2).sum(axis=1)
 
-        x, f = minimize_cma(elli, np.ones(6), 1.0,
-                            max_generations=800, seed=9)
+        x, f = run_cma(elli, np.ones(6), 1.0, generations=800, seed=9)
         assert f < 1e-8

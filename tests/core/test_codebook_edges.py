@@ -4,8 +4,7 @@ The identification path must stay well-typed at the boundaries a long
 fleet life actually reaches -- nothing enrolled yet, everything
 revoked, a fleet of one -- instead of leaking raw numpy errors
 (``argmax of an empty sequence``, zero-length reshapes) out of the
-packed matcher.  These tests pin the contract the sharded fleet's
-refresh also relies on: total revocation answers with the typed
+packed matcher.  Total revocation answers with the typed
 ``UnknownChipError``, never a raw kernel exception.
 """
 
@@ -151,36 +150,3 @@ class TestZeroRowKernels:
     def test_pack_responses_zero_rows(self):
         packed = pack_responses(np.zeros((0, 64), np.int8))
         assert packed.shape == (0, 8)
-
-
-class TestShardBounds:
-    """The fleet's contiguous partition helper on the codebook."""
-
-    @pytest.fixture()
-    def synced_book(self, small_lot_server):
-        _, server = small_lot_server
-        return server.codebook(64, seed=971)
-
-    def test_partition_is_contiguous_and_complete(self, synced_book):
-        bounds = synced_book.shard_bounds(2)
-        assert bounds[0][0] == 0
-        assert bounds[-1][1] == len(synced_book)
-        for (_, stop), (start, _) in zip(bounds, bounds[1:]):
-            assert stop == start
-        sizes = [stop - start for start, stop in bounds]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_more_shards_than_rows_yields_empty_shards(self, synced_book):
-        bounds = synced_book.shard_bounds(len(synced_book) + 3)
-        assert bounds[0][0] == 0 and bounds[-1][1] == len(synced_book)
-        assert sum(stop - start for start, stop in bounds) == len(synced_book)
-        assert sum(1 for start, stop in bounds if start == stop) == 3
-
-    def test_row_position_round_trips_ids(self, synced_book):
-        for chip_id in synced_book.ids:
-            position = synced_book.row_position(chip_id)
-            assert synced_book.ids[position] == chip_id
-
-    def test_invalid_shard_count_rejected(self, synced_book):
-        with pytest.raises(ValueError):
-            synced_book.shard_bounds(0)

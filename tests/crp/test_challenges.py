@@ -4,15 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.crp.challenges import (
     ChallengeStream,
     all_challenges,
-    decode_challenges,
-    encode_challenges,
     random_challenges,
-    unique_random_challenges,
 )
 
 
@@ -42,20 +38,6 @@ class TestRandomChallenges:
             random_challenges(8, 0)
 
 
-class TestUniqueRandomChallenges:
-    def test_all_distinct(self):
-        ch = unique_random_challenges(200, 10, seed=5)
-        assert len({row.tobytes() for row in ch}) == 200
-
-    def test_space_exhaustion_rejected(self):
-        with pytest.raises(ValueError, match="distinct"):
-            unique_random_challenges(5, 2)
-
-    def test_full_space_possible(self):
-        ch = unique_random_challenges(4, 2, seed=6)
-        assert len({row.tobytes() for row in ch}) == 4
-
-
 class TestAllChallenges:
     def test_count(self):
         assert len(all_challenges(4)) == 16
@@ -71,29 +53,6 @@ class TestAllChallenges:
     def test_large_space_refused(self):
         with pytest.raises(ValueError, match="refusing"):
             all_challenges(21)
-
-
-class TestEncodeDecode:
-    @given(st.integers(1, 64), st.integers(0, 2**32))
-    @settings(max_examples=50)
-    def test_roundtrip(self, k, seed):
-        ch = random_challenges(16, k, seed=seed)
-        codes = encode_challenges(ch)
-        np.testing.assert_array_equal(decode_challenges(codes, k), ch)
-
-    def test_msb_first(self):
-        codes = encode_challenges(np.array([[1, 0, 0]], dtype=np.int8))
-        assert codes[0] == 4
-
-    def test_width_limit(self):
-        with pytest.raises(ValueError, match="uint64"):
-            encode_challenges(np.zeros((1, 65), dtype=np.int8))
-        with pytest.raises(ValueError, match="uint64"):
-            decode_challenges(np.array([0], dtype=np.uint64), 65)
-
-    def test_decode_requires_1d(self):
-        with pytest.raises(ValueError, match="1-D"):
-            decode_challenges(np.zeros((2, 2), dtype=np.uint64), 4)
 
 
 class TestChallengeStream:

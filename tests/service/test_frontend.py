@@ -32,12 +32,10 @@ from repro.service import (
     AuthOutcome,
     AuthenticationService,
     BatchingFrontend,
-    FleetConfig,
     FrontendConfig,
     OverloadError,
     PoolExhaustedError,
     ServiceConfig,
-    ShardDispatcher,
     VirtualClock,
 )
 from repro.silicon.chip import fabricate_lot
@@ -492,48 +490,41 @@ class TestPoisonIsolation:
 
 
 # ----------------------------------------------------------------------
-# Fleet coalescing: one shard round-trip per flushed batch
+# Identify coalescing: one codebook pass per drained batch
 # ----------------------------------------------------------------------
-class TestFleetCoalescing:
-    def test_one_score_pass_per_drained_batch(self):
+class TestIdentifyCoalescing:
+    def test_one_score_pass_per_drained_batch(self, monkeypatch):
         lot, service, _ = build_world(7701, n_chips=5)
-        fleet_config = FleetConfig(
-            n_shards=2, n_challenges=64, inline=True, max_pending=64
-        )
+        server = service.server
+        passes = []
+        identify_many = server.identify_many
+
+        def counted(responders, **kwargs):
+            passes.append(len(responders))
+            return identify_many(responders, **kwargs)
+
+        monkeypatch.setattr(server, "identify_many", counted)
         gate = threading.Event()
         try:
-            with ShardDispatcher(
-                service.server, fleet_config, seed=7777
-            ) as dispatcher:
-                service.attach_fleet(dispatcher)
-                with BatchingFrontend(
-                    service, FrontendConfig(max_batch=16, max_pending=64)
-                ) as frontend:
-                    blocker = frontend.submit_identify(
-                        GatedResponder(lot[4], gate)
-                    )
-                    wait_until(
-                        lambda: frontend.stats["batches"] >= 1,
-                        "blocker drain",
-                    )
-                    futures = [
-                        frontend.submit_identify(chip) for chip in lot[:4]
-                    ]
-                    gate.set()
-                    blocker.result(timeout=JOIN_TIMEOUT)
-                    results = [
-                        f.result(timeout=JOIN_TIMEOUT) for f in futures
-                    ]
-                    stats = frontend.stats
+            with BatchingFrontend(
+                service, FrontendConfig(max_batch=16, max_pending=64)
+            ) as frontend:
+                blocker = frontend.submit_identify(GatedResponder(lot[4], gate))
+                wait_until(
+                    lambda: frontend.stats["batches"] >= 1, "blocker drain"
+                )
+                futures = [frontend.submit_identify(chip) for chip in lot[:4]]
+                gate.set()
+                blocker.result(timeout=JOIN_TIMEOUT)
+                results = [f.result(timeout=JOIN_TIMEOUT) for f in futures]
+                stats = frontend.stats
 
-                # Four concurrent requests -> ONE coalesced shard
-                # round-trip (plus the blocker's own), not one per
-                # request.
-                assert dispatcher.score_passes == 2
-                assert stats["batches"] == 2
-                for chip, result in zip(lot, results):
-                    assert result.chip_id == chip.chip_id
-                    assert result.coverage == 1.0
+            # Four concurrent requests -> ONE coalesced codebook pass
+            # (plus the blocker's own), not one per request.
+            assert passes == [1, 4]
+            assert stats["batches"] == 2
+            for chip, result in zip(lot, results):
+                assert result.chip_id == chip.chip_id
         finally:
             gate.set()
 

@@ -76,22 +76,6 @@ class TestLifecycleSmoke:
         assert stats["batches"] > 0
         assert stats["submitted"] > 0
 
-    def test_sharded_plane_under_concurrent_clients(self):
-        # Inline shards refresh and re-layout under churn, revocation
-        # and a retighten storm while the front end coalesces traffic.
-        config = LifecycleConfig(n_chips=4, ticks=6, sharded=True, clients=4)
-        report = run_lifecycle_sim(config, seed=7)
-        assert report.passed, report.gates
-        assert report.no_replay
-        assert report.revoked_approvals == 0
-        assert report.revoked_identify_hits == 0
-        fleet = report.params["fleet"]
-        assert fleet["min_coverage"] == 1.0
-        assert fleet["events"].get("shard-relayout", 0) > 0
-        stats = report.params["frontend"]
-        assert stats["shed"] == 0
-        assert 0 < stats["batches"] < stats["submitted"]
-
     def test_every_identification_is_audited(self, monkeypatch):
         # The per-tick probes and the revoked devices' identify sweeps
         # both go through the service, so the security record holds one

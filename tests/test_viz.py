@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.viz import ascii_curve, ascii_decay_table, ascii_histogram
+from repro.viz import ascii_decay_table, ascii_histogram
 
 
 class TestAsciiHistogram:
@@ -34,30 +34,6 @@ class TestAsciiHistogram:
             ascii_histogram(np.zeros(5), bins=0)
         with pytest.raises(ValueError, match="value_range"):
             ascii_histogram(np.zeros(5), value_range=(1.0, 0.0))
-
-
-class TestAsciiCurve:
-    def test_dimensions(self):
-        out = ascii_curve([0, 1, 2], [0.0, 0.5, 1.0], height=8, width=40)
-        lines = out.splitlines()
-        assert len(lines) == 10  # 8 grid rows + axis + labels
-        assert all("|" in line for line in lines[:8])
-
-    def test_monotone_curve_marks_corners(self):
-        out = ascii_curve([0, 1], [0.0, 1.0], height=5, width=20)
-        lines = out.splitlines()
-        assert "*" in lines[0]       # max y in top row
-        assert "*" in lines[4]       # min y in bottom row
-
-    def test_flat_line_supported(self):
-        out = ascii_curve([0, 1, 2], [0.5, 0.5, 0.5])
-        assert "*" in out
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="matching"):
-            ascii_curve([1, 2], [1.0])
-        with pytest.raises(ValueError, match=">= 2"):
-            ascii_curve([1, 2], [1.0, 2.0], height=1)
 
 
 class TestAsciiDecayTable:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.utils.rng import (
@@ -11,7 +10,6 @@ from repro.utils.rng import (
     derive_generator,
     derive_seed_sequence,
     key_to_entropy,
-    spawn_generators,
 )
 
 
@@ -74,27 +72,6 @@ class TestDeriveGenerator:
         first = derive_generator(rng, "a").normal(size=3)
         second = derive_generator(rng, "a").normal(size=3)
         assert not np.array_equal(first, second)
-
-
-class TestSpawnGenerators:
-    def test_count(self):
-        gens = list(spawn_generators(3, 4, "lot"))
-        assert len(gens) == 4
-
-    def test_independent_streams(self):
-        gens = list(spawn_generators(3, 3, "lot"))
-        draws = [g.normal(size=4) for g in gens]
-        assert not np.array_equal(draws[0], draws[1])
-        assert not np.array_equal(draws[1], draws[2])
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            list(spawn_generators(3, -1))
-
-    def test_matches_derive_generator(self):
-        spawned = next(iter(spawn_generators(9, 1, "k")))
-        direct = derive_generator(9, "k", 0)
-        np.testing.assert_array_equal(spawned.normal(size=3), direct.normal(size=3))
 
 
 class TestDeriveSeedSequence:
